@@ -32,6 +32,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidOrderError,
     NegativeMassError,
+    NonFiniteMassError,
     NotNormalizedError,
     OverlappingSubsetsError,
     RaggedRowsError,
@@ -54,11 +55,8 @@ from .measures import (
     MeasureFunctional,
     MeasureReport,
     delta_k,
-    delta_k_via_tc,
     dual_total_correlation,
-    dual_total_correlation_via_tc,
     gamma_k,
-    gamma_k_via_tc,
     generic_delta_k,
     measure_report,
     mutual_information,
@@ -91,6 +89,7 @@ __all__ = [
     "HoinfoError",
     "NotNormalizedError",
     "NegativeMassError",
+    "NonFiniteMassError",
     "StateOutOfRangeError",
     "TableTooLargeError",
     "EmptySubsetError",
@@ -114,11 +113,8 @@ __all__ = [
     "MeasureFunctional",
     "MeasureReport",
     "delta_k",
-    "delta_k_via_tc",
     "dual_total_correlation",
-    "dual_total_correlation_via_tc",
     "gamma_k",
-    "gamma_k_via_tc",
     "generic_delta_k",
     "measure_report",
     "mutual_information",

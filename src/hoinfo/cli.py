@@ -96,14 +96,22 @@ def _resolve_input(
         return generate(spec, config), spec.describe(), None
     if args.input is None:
         raise InvalidOrderError("an input is required: --input PATH or --gen KIND")
+    return _load_file(args.input, args.format, args.normalize, config)
 
-    text = _read_input_text(args.input)
-    descriptor = "stdin" if args.input == "-" else args.input
-    fmt = args.format
+
+def _load_file(
+    path: str, fmt: str, normalize: bool, config: EstimatorConfig
+) -> tuple[JointDistribution, str, dict | None]:
+    """Read a distribution JSON or samples CSV file; ``"-"`` reads stdin.
+
+    Returns (distribution, provenance descriptor, alphabet mapping or None).
+    """
+    text = _read_input_text(path)
+    descriptor = "stdin" if path == "-" else path
     if fmt == "auto":
-        fmt = sniff_format("" if args.input == "-" else args.input, text)
+        fmt = sniff_format("" if path == "-" else path, text)
     if fmt == FORMAT_DIST_JSON:
-        dist = loads_distribution(text, config, renormalize=args.normalize)
+        dist = loads_distribution(text, config, renormalize=normalize)
         return dist, descriptor, None
     if fmt == FORMAT_SAMPLES_CSV:
         names, rows = parse_samples_csv(text)
@@ -136,7 +144,11 @@ def _run_report(
     }
     if alphabet_mapping is not None:
         report["alphabet_mapping"] = alphabet_mapping
-    measures = measure_report(dist)
+    if include_spectrum:
+        spec = compute_spectrum(dist)
+        measures = spec.measures
+    else:
+        measures = measure_report(dist)
     report["measures"] = {
         "joint_entropy": measures.joint_entropy,
         "total_correlation": measures.total_correlation,
@@ -145,7 +157,6 @@ def _run_report(
         "o_information": measures.o_information,
     }
     if include_spectrum:
-        spec = compute_spectrum(dist)
         report["spectrum"] = {
             "delta": list(spec.delta),
             "gamma": list(spec.gamma),
@@ -313,23 +324,12 @@ def _batch_item_report(
         descriptor = spec.describe()
         mapping = None
     elif "input" in item:
-        path = item["input"]
-        text = _read_input_text(path)
-        fmt = item.get("format", "auto")
-        if fmt == "auto":
-            fmt = sniff_format(path, text)
-        if fmt == FORMAT_SAMPLES_CSV:
-            names, rows = parse_samples_csv(text)
-            mapping = {
-                name: alphabet
-                for name, alphabet in zip(names, infer_alphabets(rows))
-            }
-            dist = estimate_from_samples(rows, config)
-        else:
-            renorm = bool(item.get("normalize", args.normalize))
-            dist = loads_distribution(text, config, renormalize=renorm)
-            mapping = None
-        descriptor = path
+        dist, descriptor, mapping = _load_file(
+            item["input"],
+            item.get("format", "auto"),
+            bool(item.get("normalize", args.normalize)),
+            config,
+        )
     else:
         raise InvalidOrderError(
             "manifest items need either an 'input' path or a 'gen' spec"

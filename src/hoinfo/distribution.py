@@ -31,6 +31,7 @@ from .errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     NegativeMassError,
+    NonFiniteMassError,
     NotNormalizedError,
     RaggedRowsError,
     StateOutOfRangeError,
@@ -43,10 +44,6 @@ State = tuple[int, ...]
 # Variable subsets are plain tuples of distinct ascending indices; public
 # functions accept any iterable of ints and canonicalize.
 VariableSubset = tuple[int, ...]
-
-# Masses below this are treated as exact zeros before taking logs, so that
-# p*log(p) never produces -inf*0 noise.
-LOG_ZERO_CLIP = 1e-15
 
 # Elements per np.add.accumulate chunk; bounds transient memory of a fold.
 _FOLD_CHUNK = 1 << 20
@@ -318,7 +315,7 @@ def build_distribution(
     Raises
     ------
     NotNormalizedError, StateOutOfRangeError, NegativeMassError,
-    TableTooLargeError, EmptyInputError
+    NonFiniteMassError, TableTooLargeError, EmptyInputError
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     cards = tuple(int(c) for c in cardinalities)
@@ -350,10 +347,17 @@ def build_distribution(
 
     ordered = dict(sorted(acc.items()))
     masses = np.fromiter(ordered.values(), dtype=np.float64, count=len(ordered))
+    if not np.isfinite(masses).all():
+        bad = next(s for s, m in ordered.items() if not math.isfinite(m))
+        raise NonFiniteMassError(
+            f"state {bad} has non-finite mass {ordered[bad]!r}"
+        )
     total = _fold_1d(masses)
     if renormalize:
-        if total <= 0.0:
-            raise NotNormalizedError("cannot renormalize: total mass is 0")
+        if not 0.0 < total < math.inf:
+            raise NotNormalizedError(
+                f"cannot renormalize: total mass is {total!r}"
+            )
         ordered = {s: m / total for s, m in ordered.items()}
     elif abs(total - 1.0) > cfg.normalization_tolerance:
         raise NotNormalizedError(
@@ -465,15 +469,15 @@ def product(
 def entropy(dist: JointDistribution) -> float:
     """Shannon entropy -sum p*log(p), in units of ``config.log_base``.
 
-    Uses the 0*log(0) = 0 convention; masses below :data:`LOG_ZERO_CLIP`
-    are treated as exact zeros before taking logs.
+    Uses the 0*log(0) = 0 convention: zero masses are skipped, and every
+    positive mass, however small, contributes its finite p*log(p). The
+    result is never -0.0 (a point mass has entropy +0.0).
     """
     p = dist._nonzero_masses()
-    p = p[p >= LOG_ZERO_CLIP]
-    if p.size == 0:
-        return 0.0
-    terms = p * np.log2(p)
-    return -_fold_1d(terms) / math.log2(dist.config.log_base)
+    # log2(p) * p in place: one table-sized temporary, not two
+    terms = np.log2(p)
+    terms *= p
+    return 0.0 - _fold_1d(terms) / math.log2(dist.config.log_base)
 
 
 def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:

@@ -20,6 +20,10 @@ class NegativeMassError(HoinfoError, ValueError):
     """A probability mass is negative."""
 
 
+class NonFiniteMassError(HoinfoError, ValueError):
+    """A probability mass is NaN or infinite."""
+
+
 class StateOutOfRangeError(HoinfoError, ValueError):
     """A joint state has a coordinate outside its variable's alphabet."""
 

@@ -10,10 +10,9 @@ the two k-parameterized whole-minus-sum families built from them:
   Special cases: k=0 gives S, k=1 gives T, k=2 gives O.
 
 Both families are affine in k, so each needs only one computation of S, T,
-and D. The explicit summation forms over leave-one-out total correlations
-(``delta_k_via_tc``, ``gamma_k_via_tc``, ``dual_total_correlation_via_tc``)
-are retained as independent cross-validation paths; they recompute every
-marginal total correlation from scratch.
+and D. :func:`measure_report` is the one place that builds the 2N+1
+entropies H(X), H(X_i) and H(X^{-i}); every other multivariate measure here
+is a read of its result.
 
 All results are in units of ``dist.config.log_base`` (bits by default).
 Sums over variable indices accumulate in ascending index order, so results
@@ -77,19 +76,6 @@ def _require_multivariate(dist: JointDistribution) -> None:
         )
 
 
-def _entropy_profile(
-    dist: JointDistribution,
-) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Joint entropy, per-variable entropies, leave-one-out entropies."""
-    _require_multivariate(dist)
-    h_joint = entropy(dist)
-    singles = tuple(
-        entropy(marginalize(dist, (i,))) for i in range(dist.n_vars)
-    )
-    loo = tuple(entropy(leave_one_out(dist, i)) for i in range(dist.n_vars))
-    return h_joint, singles, loo
-
-
 def _tc_from(h_joint: float, singles: Iterable[float]) -> float:
     acc = 0.0
     for h in singles:
@@ -97,22 +83,36 @@ def _tc_from(h_joint: float, singles: Iterable[float]) -> float:
     return acc - h_joint
 
 
-def _dtc_from(h_joint: float, loo: Iterable[float]) -> float:
-    # H(X) - sum_i H(X_i | X^{-i}), with H(X_i | X^{-i}) = H(X) - H(X^{-i})
+def measure_report(dist: JointDistribution) -> MeasureReport:
+    """All five scalar measures from one pass over the 2N+1 entropies.
+
+    The pass computes H(X), every H(X_i) and every H(X^{-i}); it is the
+    only code that builds them, and the other multivariate measures in
+    this module read its result.
+    """
+    _require_multivariate(dist)
+    h_joint = entropy(dist)
+    singles = tuple(
+        entropy(marginalize(dist, (i,))) for i in range(dist.n_vars)
+    )
+    loo = tuple(entropy(leave_one_out(dist, i)) for i in range(dist.n_vars))
+    t = _tc_from(h_joint, singles)
+    # D = H(X) - sum_i H(X_i | X^{-i}), with H(X_i | X^{-i}) = H(X) - H(X^{-i})
     acc = 0.0
     for h in loo:
         acc += h_joint - h
-    return h_joint - acc
-
-
-def _si_from(
-    h_joint: float, singles: Iterable[float], loo: Iterable[float]
-) -> float:
-    # sum_i I(X_i ; X^{-i})
-    acc = 0.0
+    d = h_joint - acc
+    # S = sum_i I(X_i ; X^{-i})
+    s = 0.0
     for h_single, h_rest in zip(singles, loo):
-        acc += h_single + h_rest - h_joint
-    return acc
+        s += h_single + h_rest - h_joint
+    return MeasureReport(
+        joint_entropy=h_joint,
+        total_correlation=t,
+        dual_total_correlation=d,
+        s_information=s,
+        o_information=t - d,
+    )
 
 
 def mutual_information(
@@ -154,19 +154,7 @@ def dual_total_correlation(dist: JointDistribution) -> float:
     The share of the joint entropy carried by two or more variables at
     once; zero under global independence, low under total synchrony.
     """
-    h_joint, _, loo = _entropy_profile(dist)
-    return _dtc_from(h_joint, loo)
-
-
-def dual_total_correlation_via_tc(dist: JointDistribution) -> float:
-    """D recomputed as (N-1)*T(X) - sum_i T(X^{-i}).
-
-    Exists as a cross-validation oracle for :func:`dual_total_correlation`;
-    the two must agree within tolerance on every valid input.
-    """
-    _require_multivariate(dist)
-    n = dist.n_vars
-    return float(n - 1) * total_correlation(dist) - _marginal_tc_sum(dist)
+    return measure_report(dist).dual_total_correlation
 
 
 def s_information(dist: JointDistribution) -> float:
@@ -174,8 +162,7 @@ def s_information(dist: JointDistribution) -> float:
 
     Non-negative; zero only when all variables are independent.
     """
-    h_joint, singles, loo = _entropy_profile(dist)
-    return _si_from(h_joint, singles, loo)
+    return measure_report(dist).s_information
 
 
 def o_information(dist: JointDistribution) -> float:
@@ -185,8 +172,7 @@ def o_information(dist: JointDistribution) -> float:
     synergistic interactions, positive means redundancy-dominated, and a
     system with only pairwise dependencies scores zero.
     """
-    h_joint, singles, loo = _entropy_profile(dist)
-    return _tc_from(h_joint, singles) - _dtc_from(h_joint, loo)
+    return measure_report(dist).o_information
 
 
 def delta_k(dist: JointDistribution, k: int) -> float:
@@ -197,10 +183,8 @@ def delta_k(dist: JointDistribution, k: int) -> float:
     values indicate interactions of order above k dominate, negative
     values that lower orders dominate. Any integer k is accepted.
     """
-    h_joint, singles, loo = _entropy_profile(dist)
-    s = _si_from(h_joint, singles, loo)
-    t = _tc_from(h_joint, singles)
-    return s - k * t
+    r = measure_report(dist)
+    return r.s_information - k * r.total_correlation
 
 
 def gamma_k(dist: JointDistribution, k: int) -> float:
@@ -210,40 +194,8 @@ def gamma_k(dist: JointDistribution, k: int) -> float:
     entirely of order-k redundant interactions (k identical copies of one
     variable). Any integer k is accepted.
     """
-    h_joint, singles, loo = _entropy_profile(dist)
-    s = _si_from(h_joint, singles, loo)
-    d = _dtc_from(h_joint, loo)
-    return s - k * d
-
-
-def _marginal_tc_sum(dist: JointDistribution) -> float:
-    """sum_i T(X^{-i}), each marginal total correlation from scratch."""
-    acc = 0.0
-    for i in range(dist.n_vars):
-        acc += total_correlation(leave_one_out(dist, i))
-    return acc
-
-
-def delta_k_via_tc(dist: JointDistribution, k: int) -> float:
-    """Delta^k from its summation form (N-k)*T(X) - sum_i T(X^{-i}).
-
-    Cross-validation path for :func:`delta_k`.
-    """
-    _require_multivariate(dist)
-    n = dist.n_vars
-    return float(n - k) * total_correlation(dist) - _marginal_tc_sum(dist)
-
-
-def gamma_k_via_tc(dist: JointDistribution, k: int) -> float:
-    """Gamma^k from its total-correlation-only form.
-
-    Computes (1 - (N-1)*(k-1)) * T(X) + (k-1) * sum_i T(X^{-i}); the
-    cross-validation path for :func:`gamma_k`.
-    """
-    _require_multivariate(dist)
-    n = dist.n_vars
-    coeff = 1 - (n - 1) * (k - 1)
-    return float(coeff) * total_correlation(dist) + float(k - 1) * _marginal_tc_sum(dist)
+    r = measure_report(dist)
+    return r.s_information - k * r.dual_total_correlation
 
 
 _FRAGILITY_WARNED: set[str] = set()
@@ -297,18 +249,3 @@ def _checked_value(
             f"functional {functional.name!r} returned {value!r} < 0"
         )
     return value
-
-
-def measure_report(dist: JointDistribution) -> MeasureReport:
-    """All five scalar measures from a single entropy pass."""
-    h_joint, singles, loo = _entropy_profile(dist)
-    t = _tc_from(h_joint, singles)
-    d = _dtc_from(h_joint, loo)
-    s = _si_from(h_joint, singles, loo)
-    return MeasureReport(
-        joint_entropy=h_joint,
-        total_correlation=t,
-        dual_total_correlation=d,
-        s_information=s,
-        o_information=t - d,
-    )

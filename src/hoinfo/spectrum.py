@@ -1,8 +1,9 @@
 """k-sweeps of the delta/gamma families and order diagnostics.
 
-A single computation of S, T, and D determines the whole sweep, since
-delta[k] = S - k*T and gamma[k] = S - k*D are affine in k. The derived
-diagnostics locate where each family hits zero:
+A single computation of S, T, and D (one :func:`measure_report`)
+determines the whole sweep, since delta[k] = S - k*T and gamma[k] =
+S - k*D are affine in k. The derived diagnostics locate where each
+family hits zero:
 
 * ``synergy_order``: smallest k with delta[k] <= zero_tolerance. A pure
   order-k synergy gadget (parity of order k) reports exactly k. The
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .distribution import EstimatorConfig, JointDistribution
 from .errors import IndexOutOfRangeError
-from .measures import _dtc_from, _entropy_profile, _si_from, _tc_from
+from .measures import MeasureReport, measure_report
 
 
 class SignInterpretation(enum.Enum):
@@ -42,7 +43,8 @@ class SpectrumResult:
 
     Invariants: delta[0] = gamma[0] = S; delta decreases with slope -T and
     gamma with slope -D; when defined, delta[k] > 0 exactly for
-    k < delta_crossing (up to tolerance).
+    k < delta_crossing (up to tolerance). ``measures`` is the report the
+    sweep was computed from.
     """
 
     delta: tuple[float, ...]
@@ -52,6 +54,7 @@ class SpectrumResult:
     delta_crossing: float | None
     gamma_crossing: float | None
     zero_tolerance: float
+    measures: MeasureReport
 
     @property
     def n_vars(self) -> int:
@@ -68,10 +71,10 @@ def compute_spectrum(
     values themselves always follow the distribution's config.
     """
     cfg = config if config is not None else dist.config
-    h_joint, singles, loo = _entropy_profile(dist)
-    s = _si_from(h_joint, singles, loo)
-    t = _tc_from(h_joint, singles)
-    d = _dtc_from(h_joint, loo)
+    measures = measure_report(dist)
+    s = measures.s_information
+    t = measures.total_correlation
+    d = measures.dual_total_correlation
     n = dist.n_vars
 
     delta = tuple(s - k * t for k in range(n + 1))
@@ -97,6 +100,7 @@ def compute_spectrum(
         delta_crossing=delta_crossing,
         gamma_crossing=gamma_crossing,
         zero_tolerance=tol,
+        measures=measures,
     )
 
 

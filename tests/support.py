@@ -9,7 +9,9 @@ import numpy as np
 from hoinfo import (
     JointDistribution,
     build_distribution,
+    leave_one_out,
     random_distribution,
+    total_correlation,
 )
 
 # Uniform inputs with the last variable their XOR: the canonical pure
@@ -65,3 +67,36 @@ def dyadic_random_table(rng: np.random.Generator, cards,
             idx //= cards[pos]
         entries.append((tuple(state), float(mass)))
     return build_distribution(cards, entries)
+
+
+# Cross-check paths: D, delta and gamma from joint and leave-one-out total
+# correlations alone, each marginal T recomputed from scratch. They share
+# the package's total_correlation and leave_one_out, so they check the
+# profile fold of measure_report, not the primitives (tests/oracle.py does).
+
+
+def _marginal_tc_sum(dist: JointDistribution) -> float:
+    """sum_i T(X^{-i}), each marginal total correlation from scratch."""
+    acc = 0.0
+    for i in range(dist.n_vars):
+        acc += total_correlation(leave_one_out(dist, i))
+    return acc
+
+
+def dual_total_correlation_via_tc(dist: JointDistribution) -> float:
+    """D recomputed as (N-1)*T(X) - sum_i T(X^{-i})."""
+    n = dist.n_vars
+    return float(n - 1) * total_correlation(dist) - _marginal_tc_sum(dist)
+
+
+def delta_k_via_tc(dist: JointDistribution, k: int) -> float:
+    """Delta^k from its summation form (N-k)*T(X) - sum_i T(X^{-i})."""
+    n = dist.n_vars
+    return float(n - k) * total_correlation(dist) - _marginal_tc_sum(dist)
+
+
+def gamma_k_via_tc(dist: JointDistribution, k: int) -> float:
+    """Gamma^k as (1 - (N-1)*(k-1)) * T(X) + (k-1) * sum_i T(X^{-i})."""
+    n = dist.n_vars
+    coeff = 1 - (n - 1) * (k - 1)
+    return float(coeff) * total_correlation(dist) + float(k - 1) * _marginal_tc_sum(dist)

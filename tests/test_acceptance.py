@@ -17,17 +17,19 @@ import pytest
 
 import oracle
 import support
+from support import (
+    delta_k_via_tc,
+    dual_total_correlation_via_tc,
+    gamma_k_via_tc,
+)
 from hoinfo import (
     GeneratorSpec,
     compose_independent,
     compute_spectrum,
     delta_k,
-    delta_k_via_tc,
     dual_total_correlation,
-    dual_total_correlation_via_tc,
     entropy,
     gamma_k,
-    gamma_k_via_tc,
     giant_bit,
     leave_one_out,
     measure_report,

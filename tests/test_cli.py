@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -310,3 +311,97 @@ def test_console_entry_point_matches_in_process(capsys):
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == in_process
+
+
+def test_measures_rejects_nan_mass_file(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(
+        '{"cardinalities": [2, 2], "entries": ['
+        '{"state": [0, 0], "p": NaN}, {"state": [1, 1], "p": 1.0}]}'
+    )
+    code, out, err = run_cli(capsys, ["measures", "--input", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_normalize_rejects_infinite_mass_file(tmp_path, capsys):
+    bad = tmp_path / "inf.json"
+    bad.write_text(
+        '{"cardinalities": [2, 2], "entries": ['
+        '{"state": [0, 0], "p": Infinity}, {"state": [1, 1], "p": 0.5}]}'
+    )
+    code, out, err = run_cli(
+        capsys, ["measures", "--input", str(bad), "--normalize"])
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_point_mass_report_has_no_negative_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, ["spectrum", "--gen", "point-mass", "--n-vars", "3"])
+    assert code == 0
+    assert "-0.0" not in out
+    report = json.loads(out)
+    values = list(report["measures"].values())
+    values += report["spectrum"]["delta"] + report["spectrum"]["gamma"]
+    assert len(values) == 5 + 2 * 4
+    for value in values:
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+
+def test_spectrum_builds_the_entropy_profile_once(capsys, monkeypatch):
+    import hoinfo.measures
+
+    calls = []
+    real_entropy = hoinfo.measures.entropy
+
+    def counting_entropy(dist):
+        calls.append(dist.n_vars)
+        return real_entropy(dist)
+
+    monkeypatch.setattr(hoinfo.measures, "entropy", counting_entropy)
+    code, out, _ = run_cli(
+        capsys,
+        ["spectrum", "--gen", "random", "--n-vars", "4", "--seed", "5"])
+    assert code == 0
+    assert json.loads(out)["n_vars"] == 4
+    # H(X), the four H(X_i) and the four H(X^-i): 2N + 1 entropies
+    assert len(calls) == 9
+    assert sorted(calls) == [1, 1, 1, 1, 3, 3, 3, 3, 4]
+
+
+def test_batch_rejects_unknown_item_format(tmp_path, capsys):
+    dist_path = tmp_path / "dist.json"
+    code, emitted, _ = run_cli(
+        capsys, ["gen", "--kind", "parity", "--order", "3", "--emit"])
+    assert code == 0
+    dist_path.write_text(emitted)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"input": str(dist_path), "format": "xml"},
+        {"input": str(dist_path)},
+    ]))
+    code, out, _ = run_cli(capsys, ["batch", str(manifest)])
+    assert code == 1
+    error_record, report = (json.loads(line) for line in out.splitlines())
+    assert error_record["item"] == 0
+    assert error_record["error"]["type"] == "InvalidOrderError"
+    assert "xml" in error_record["error"]["message"]
+    assert report["measures"]["s_information"] == 3.0
+
+
+def test_batch_describes_stdin_input_as_stdin(tmp_path, capsys, monkeypatch):
+    code, emitted, _ = run_cli(
+        capsys, ["gen", "--kind", "giant-bit", "--order", "2", "--emit"])
+    assert code == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"input": "-"}]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(emitted))
+    code, out, _ = run_cli(capsys, ["batch", str(manifest)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["input_descriptor"] == "stdin"
+    assert report["measures"]["total_correlation"] == 1.0

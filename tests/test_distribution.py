@@ -11,6 +11,7 @@ from hoinfo import (
     EstimatorConfig,
     IndexOutOfRangeError,
     NegativeMassError,
+    NonFiniteMassError,
     NotNormalizedError,
     RaggedRowsError,
     StateOutOfRangeError,
@@ -74,6 +75,21 @@ def test_build_renormalize_flag():
 def test_build_rejects_negative_mass():
     with pytest.raises(NegativeMassError):
         build_distribution([2], [((0,), 1.5), ((1,), -0.5)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_build_rejects_non_finite_mass(bad):
+    entries = [((0, 0), bad), ((1, 1), 1.0)]
+    with pytest.raises(NonFiniteMassError):
+        build_distribution([2, 2], entries)
+    with pytest.raises(NonFiniteMassError):
+        build_distribution([2, 2], entries, renormalize=True)
+
+
+def test_renormalize_rejects_overflowing_total():
+    with pytest.raises(NotNormalizedError):
+        build_distribution([2], [((0,), 1e308), ((1,), 1e308)],
+                           renormalize=True)
 
 
 def test_build_rejects_out_of_range_state():
@@ -264,9 +280,25 @@ def test_entropy_reference_values():
     bit = build_distribution([2], [((0,), 0.5), ((1,), 0.5)])
     assert entropy(bit) == 1.0
     assert entropy(point_mass()) == 0.0
+    assert math.copysign(1.0, entropy(point_mass(3, 2))) == 1.0  # not -0.0
     skewed = build_distribution([2], [((0,), 0.25), ((1,), 0.75)])
     # direct evaluation of -sum p log2 p
     assert entropy(skewed) == pytest.approx(0.8112781244591328, abs=1e-15)
+
+
+def test_entropy_keeps_masses_below_1e_15():
+    # 2^16 - 1 states of 9e-16 each carry about 2.95e-9 bits between them
+    tiny = 9e-16
+    n_states = 1 << 16
+    masses = [1.0 - (n_states - 1) * tiny] + [tiny] * (n_states - 1)
+    entries = [
+        (tuple((flat >> (15 - j)) & 1 for j in range(16)), m)
+        for flat, m in enumerate(masses)
+    ]
+    d = build_distribution([2] * 16, entries)
+    expected = oracle.entropy_bits(oracle.pmf_of(d))
+    assert expected > 2.9e-9
+    assert abs(entropy(d) - expected) < 1e-9
 
 
 def test_entropy_bounds(suite50):

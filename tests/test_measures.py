@@ -4,6 +4,11 @@ import pytest
 
 import oracle
 import support
+from support import (
+    delta_k_via_tc,
+    dual_total_correlation_via_tc,
+    gamma_k_via_tc,
+)
 from hoinfo import (
     EmptySubsetError,
     FunctionalNegativeError,
@@ -13,12 +18,9 @@ from hoinfo import (
     SystemTooSmallError,
     build_distribution,
     delta_k,
-    delta_k_via_tc,
     dual_total_correlation,
-    dual_total_correlation_via_tc,
     entropy,
     gamma_k,
-    gamma_k_via_tc,
     generic_delta_k,
     giant_bit,
     measure_report,

@@ -1,6 +1,7 @@
 import pytest
 
 import support
+from support import delta_k_via_tc, gamma_k_via_tc
 from hoinfo import (
     GeneratorSpec,
     IndexOutOfRangeError,
@@ -9,11 +10,10 @@ from hoinfo import (
     compose_independent,
     compute_spectrum,
     delta_k,
-    delta_k_via_tc,
     dual_total_correlation,
     gamma_k,
-    gamma_k_via_tc,
     giant_bit,
+    measure_report,
     parity,
     point_mass,
     s_information,
@@ -129,3 +129,10 @@ def test_sign_interpretation_validates_k():
 def test_spectrum_requires_two_variables():
     with pytest.raises(SystemTooSmallError):
         compute_spectrum(point_mass(1, 2))
+
+
+def test_spectrum_carries_the_measure_report_it_was_computed_from(suite50):
+    for d in suite50:
+        sp = compute_spectrum(d)
+        assert sp.measures == measure_report(d)
+        assert sp.delta[1] == sp.measures.s_information - sp.measures.total_correlation
