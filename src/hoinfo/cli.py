@@ -34,20 +34,22 @@ from .fileio import (
     parse_samples_csv,
     sniff_format,
 )
-from .generators import GeneratorSpec, generate, spec_from_dict
+from .generators import (
+    GENERATOR_KINDS,
+    GeneratorSpec,
+    generate,
+    spec_from_dict,
+)
 from .measures import measure_report
 from .spectrum import compute_spectrum
 
+# Each kind the command line can build, spelled with "_" or "-", plus "random".
 _GEN_KIND_ALIASES = {
-    "giant-bit": "giant_bit",
-    "giant_bit": "giant_bit",
-    "parity": "parity",
-    "random": "random_dirichlet_like",
-    "random-dirichlet-like": "random_dirichlet_like",
-    "random_dirichlet_like": "random_dirichlet_like",
-    "point-mass": "point_mass",
-    "point_mass": "point_mass",
-}
+    spelling: kind
+    for kind in GENERATOR_KINDS
+    if kind != "independent_product"
+    for spelling in (kind, kind.replace("_", "-"))
+} | {"random": "random_dirichlet_like"}
 
 
 def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:

@@ -16,6 +16,14 @@ index order, sparse tables in sorted state order. Because adding an exact
 zero never perturbs an accumulator, the two representations of the same
 distribution produce bit-identical marginal masses, entropies, and therefore
 bit-identical measures, and every result is reproducible run to run.
+
+A dense marginal is folded from strided views of the table, never a copy
+of it, looping over whichever side of the marginal has fewer states. When
+the dropped variables have no more joint states than the kept ones, one
+accumulator over all kept states, starting at 0.0, takes one slice per
+dropped state in ascending order; otherwise each kept state's cells are
+folded one after another in row-major chunks. Either way every kept
+state's mass is the same left fold over its cells in ascending order.
 """
 
 from __future__ import annotations
@@ -85,33 +93,66 @@ class EstimatorConfig:
 DEFAULT_CONFIG = EstimatorConfig()
 
 
-def _fold_1d(values: np.ndarray) -> float:
-    """Strict left-to-right sum of a 1-D float64 array."""
-    acc = 0.0
-    n = values.shape[0]
-    for start in range(0, n, _FOLD_CHUNK):
-        chunk = values[start : start + _FOLD_CHUNK]
-        acc = float(np.add.accumulate(np.concatenate(([acc], chunk)))[-1])
-    return acc
+def _row_major_chunks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of ``values`` that cover it in row-major order,
+    each of at most ``_FOLD_CHUNK`` cells. Nothing is copied."""
+    shape = values.shape
+    split, inner = len(shape), 1
+    while split > 0 and inner * shape[split - 1] <= _FOLD_CHUNK:
+        split -= 1
+        inner *= shape[split]
+    if split == 0:
+        yield values
+        return
+    # axis split-1 is too long to take whole: slice it into runs of rows
+    rows = _FOLD_CHUNK // inner
+    for lead in np.ndindex(shape[: split - 1]):
+        block = values[lead]
+        for start in range(0, shape[split - 1], rows):
+            yield block[start : start + rows]
 
 
-def _fold_axis0(block: np.ndarray) -> np.ndarray:
-    """Strict top-to-bottom sum over axis 0, vectorized across columns.
+def _fold(values: np.ndarray) -> float:
+    """Strict left-to-right sum of the cells of ``values`` in row-major order.
 
-    np.add.accumulate is defined by the sequential recurrence
-    r[i] = r[i-1] + x[i], so its last row is exactly the left fold.
+    Each chunk is copied into a contiguous scratch segment whose first cell
+    absorbs the running sum; np.add.accumulate is defined by the sequential
+    recurrence r[i] = r[i-1] + x[i], so the segment's last cell is exactly
+    the left fold so far.
     """
-    width = block.shape[1]
-    acc = np.zeros(width, dtype=np.float64)
-    if block.shape[0] == 0 or width == 0:
+    acc = 0.0
+    if values.size == 0:
         return acc
-    rows = max(1, _FOLD_CHUNK // width)
-    for start in range(0, block.shape[0], rows):
-        stacked = np.concatenate(
-            (acc[np.newaxis, :], block[start : start + rows]), axis=0
-        )
-        acc = np.add.accumulate(stacked, axis=0)[-1]
+    for chunk in _row_major_chunks(values):
+        seg = chunk.flatten()
+        seg[0] = acc + seg[0]
+        np.add.accumulate(seg, out=seg)
+        acc = float(seg[-1])
     return acc
+
+
+def _marginal_table(
+    table: np.ndarray, kept: VariableSubset, dropped: VariableSubset
+) -> np.ndarray:
+    """Dense marginal over ``kept``, folded from strided views of ``table``.
+
+    Every kept state's mass is the strict left fold, from 0.0, of its cells
+    in ascending mixed-radix order of the dropped variables, whichever side
+    the loop runs over (see the module docstring).
+    """
+    new_cards = tuple(table.shape[i] for i in kept)
+    drop_cards = tuple(table.shape[i] for i in dropped)
+    if math.prod(drop_cards) <= math.prod(new_cards):
+        view = np.transpose(table, dropped + kept)
+        acc = np.zeros(new_cards, dtype=np.float64)
+        for d in np.ndindex(drop_cards):
+            acc += view[d]
+        return acc
+    view = np.transpose(table, kept + dropped)
+    out = np.empty(new_cards, dtype=np.float64)
+    for k in np.ndindex(new_cards):
+        out[k] = _fold(view[k])
+    return out
 
 
 def as_subset(indices: Iterable[int], n_vars: int) -> VariableSubset:
@@ -217,7 +258,7 @@ class JointDistribution:
 
     def total_mass(self) -> float:
         """Canonical-order sum of all masses (1 up to rounding)."""
-        return _fold_1d(self._nonzero_masses())
+        return _fold(self._nonzero_masses())
 
     def dense_table(self) -> np.ndarray:
         """Materialize the full table as a writable array copy."""
@@ -352,7 +393,7 @@ def build_distribution(
         raise NonFiniteMassError(
             f"state {bad} has non-finite mass {ordered[bad]!r}"
         )
-    total = _fold_1d(masses)
+    total = _fold(masses)
     if renormalize:
         if not 0.0 < total < math.inf:
             raise NotNormalizedError(
@@ -405,10 +446,7 @@ def marginalize(dist: JointDistribution, keep: Iterable[int]) -> JointDistributi
     new_cards = tuple(dist.cardinalities[i] for i in kept)
 
     if dist.representation == "dense":
-        n_keep = math.prod(new_cards)
-        n_drop = math.prod(dist.cardinalities[i] for i in dropped)
-        block = np.transpose(dist._table, dropped + kept).reshape(n_drop, n_keep)
-        folded = _fold_axis0(block).reshape(new_cards)
+        folded = _marginal_table(dist._table, kept, dropped)
         return JointDistribution(new_cards, table=folded, config=dist.config)
 
     acc: dict[State, float] = {}
@@ -462,7 +500,9 @@ def product(
     entries: dict[State, float] = {}
     for sa, ma in dist_a.items():
         for sb, mb in b_items:
-            entries[sa + sb] = ma * mb
+            m = ma * mb
+            if m > 0.0:  # a product can underflow to zero
+                entries[sa + sb] = m
     return JointDistribution(cards, entries=entries, config=cfg)
 
 
@@ -477,7 +517,7 @@ def entropy(dist: JointDistribution) -> float:
     # log2(p) * p in place: one table-sized temporary, not two
     terms = np.log2(p)
     terms *= p
-    return 0.0 - _fold_1d(terms) / math.log2(dist.config.log_base)
+    return 0.0 - _fold(terms) / math.log2(dist.config.log_base)
 
 
 def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:

@@ -27,7 +27,7 @@ from .distribution import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     JointDistribution,
-    _fold_1d,
+    _fold,
     build_distribution,
     product,
 )
@@ -235,17 +235,23 @@ def random_distribution(
 
     bits = min(48, max(40, n_states.bit_length() + 14))
     target = 1 << bits
-    scaled = w * (target / _fold_1d(w))
+    scaled = w * (target / _fold(w))
     floors = np.floor(scaled)
     quanta = np.maximum(floors, 1.0).astype(np.int64)
     frac = scaled - floors
     residual = target - int(quanta.sum())
     if residual > 0:
-        order = np.argsort(-frac, kind="stable")
         whole, extra = divmod(residual, n_states)
         if whole:
             quanta += whole
-        quanta[order[:extra]] += 1
+        if extra:
+            # the `extra` largest fractions, lowest index first among ties:
+            # the head of a stable descending sort, selected in O(n)
+            cut = np.partition(frac, n_states - extra)[n_states - extra]
+            above = frac > cut
+            ties = np.flatnonzero(frac == cut)
+            quanta[above] += 1
+            quanta[ties[: extra - int(np.count_nonzero(above))]] += 1
     elif residual < 0:
         order = np.argsort(frac, kind="stable")
         deficit = -residual

@@ -100,3 +100,34 @@ def gamma_k_via_tc(dist: JointDistribution, k: int) -> float:
     n = dist.n_vars
     coeff = 1 - (n - 1) * (k - 1)
     return float(coeff) * total_correlation(dist) + float(k - 1) * _marginal_tc_sum(dist)
+
+
+def random_masses_by_argsort(n_states: int, seed: int,
+                             concentration: float) -> np.ndarray:
+    """Flat masses of ``random_distribution`` by its documented scheme,
+    with the residual quanta placed by a full stable sort of the fractions
+    (largest first, lowest index first among ties)."""
+    u = np.random.default_rng(seed).random(n_states)
+    w = (1.0 - u) ** (1.0 / concentration)
+    bits = min(48, max(40, n_states.bit_length() + 14))
+    target = 1 << bits
+    total = 0.0
+    for x in w.tolist():
+        total += x
+    scaled = w * (target / total)
+    floors = np.floor(scaled)
+    quanta = np.maximum(floors, 1.0).astype(np.int64)
+    frac = scaled - floors
+    residual = target - int(quanta.sum())
+    if residual > 0:
+        whole, extra = divmod(residual, n_states)
+        quanta += whole
+        quanta[np.argsort(-frac, kind="stable")[:extra]] += 1
+    elif residual < 0:
+        order = np.argsort(frac, kind="stable")
+        deficit = -residual
+        while deficit > 0:
+            takeable = order[quanta[order] > 1][:deficit]
+            quanta[takeable] -= 1
+            deficit -= takeable.size
+    return quanta / float(target)

@@ -405,3 +405,33 @@ def test_batch_describes_stdin_input_as_stdin(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["input_descriptor"] == "stdin"
     assert report["measures"]["total_correlation"] == 1.0
+
+
+@pytest.mark.parametrize("spelling,kind", [
+    ("giant-bit", "giant_bit"),
+    ("giant_bit", "giant_bit"),
+    ("parity", "parity"),
+    ("point-mass", "point_mass"),
+    ("point_mass", "point_mass"),
+    ("random", "random_dirichlet_like"),
+    ("random-dirichlet-like", "random_dirichlet_like"),
+    ("random_dirichlet_like", "random_dirichlet_like"),
+])
+def test_gen_kind_spellings(capsys, spelling, kind):
+    code, out, _ = run_cli(capsys, ["gen", "--kind", spelling, "--order",
+                                    "2", "--n-vars", "2", "--seed", "1"])
+    assert code == 0
+    assert out.startswith(f"gen:{kind}(")
+
+
+def test_gen_unknown_kind_lists_spellings(capsys):
+    code, out, err = run_cli(
+        capsys, ["gen", "--kind", "independent-product", "--order", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hoinfo: error: unknown generator kind 'independent-product'; "
+        "expected one of ['giant-bit', 'giant_bit', 'parity', 'point-mass', "
+        "'point_mass', 'random', 'random-dirichlet-like', "
+        "'random_dirichlet_like']\n"
+    )

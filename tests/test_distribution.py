@@ -264,6 +264,21 @@ def test_product_entropy_additivity(suite50):
         )
 
 
+def test_sparse_product_drops_underflowed_masses():
+    a = build_distribution([2], [((0,), 1e-200), ((1,), 1.0)])
+    dense = product(a, a)
+    sparse = product(a.to_sparse(), a.to_sparse())
+    assert sparse.representation == "sparse"
+    # 1e-200 * 1e-200 underflows to 0.0 and is not support
+    assert sparse.support_size == dense.support_size == 3
+    assert math.isfinite(entropy(sparse))
+    assert entropy(sparse) == entropy(dense)
+    for measure in (total_correlation, dual_total_correlation,
+                    s_information, o_information):
+        assert math.isfinite(measure(sparse))
+        assert measure(sparse) == measure(dense)
+
+
 def test_product_over_cap_raises():
     cfg = EstimatorConfig(max_dense_states=8)
     a = random_distribution(2, 2, seed=1, config=cfg)
