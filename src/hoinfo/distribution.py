@@ -1,10 +1,15 @@
 """Discrete joint probability distributions and entropy primitives.
 
 The central object is :class:`JointDistribution`: N discrete variables with
-finite alphabets and a normalized probability mass table, stored either as a
-dense mixed-radix table (a C-ordered ``numpy`` array indexed by the joint
-state) or as a sparse ``state -> mass`` map. Every information measure in
-this package is built from the four primitives defined here:
+finite alphabets and a normalized probability mass table. Each joint state
+is identified by its code, the row-major (mixed-radix) index of the state,
+and a distribution stores a flat float64 mass array against those codes.
+A dense distribution holds one mass per state and its codes are implicit
+(the array index). A sparse one holds only the positive masses, with the
+ascending codes of their states beside them. Codes are int64 while the
+state space has fewer than 2**63 states and Python ints (an object array)
+beyond that; the same expressions serve both. Every information measure
+in this package is built from the four primitives defined here:
 marginalization, leave-one-out marginalization, independent products, and
 Shannon entropy.
 
@@ -12,10 +17,11 @@ Determinism contract
 --------------------
 All mass summations are strict left-to-right folds over states in ascending
 mixed-radix (lexicographic) order: dense tables fold in ascending linear
-index order, sparse tables in sorted state order. Because adding an exact
-zero never perturbs an accumulator, the two representations of the same
-distribution produce bit-identical marginal masses, entropies, and therefore
-bit-identical measures, and every result is reproducible run to run.
+index order, sparse supports in ascending code order. Because adding an
+exact zero never perturbs an accumulator, the two representations of the
+same distribution produce bit-identical marginal masses, entropies, and
+therefore bit-identical measures, and every result is reproducible run to
+run.
 
 A dense marginal is folded from strided views of the table, never a copy
 of it, looping over whichever side of the marginal has fewer states. When
@@ -24,6 +30,11 @@ accumulator over all kept states, starting at 0.0, takes one slice per
 dropped state in ascending order; otherwise each kept state's cells are
 folded one after another in row-major chunks. Either way every kept
 state's mass is the same left fold over its cells in ascending order.
+
+A sparse marginal, and the summing of duplicate entries at construction,
+uses ``np.bincount``, which adds each mass into its target state's
+accumulator, from 0.0, in input order: ascending code order for a
+marginal, the caller's order for duplicates.
 """
 
 from __future__ import annotations
@@ -91,6 +102,29 @@ class EstimatorConfig:
 
 
 DEFAULT_CONFIG = EstimatorConfig()
+
+
+def _code_dtype(cards: Sequence[int]) -> type:
+    """int64 codes below 2**63 states, Python ints (object) from there on."""
+    return np.int64 if math.prod(cards) < 2**63 else object
+
+
+def _encode(digits: Sequence[np.ndarray], cards: Sequence[int]) -> np.ndarray:
+    """Row-major codes of states given as one digit array per variable."""
+    dtype = _code_dtype(cards)
+    codes = np.zeros(len(digits[0]), dtype=dtype)
+    for digit, card in zip(digits, cards):
+        codes = codes * card + digit.astype(dtype)
+    return codes
+
+
+def _digits(codes: np.ndarray, cards: Sequence[int]) -> list[np.ndarray]:
+    """Per-variable digit arrays of ``codes``; inverse of :func:`_encode`."""
+    digits = []
+    for card in reversed(cards):
+        digits.append(codes % card)
+        codes = codes // card
+    return digits[::-1]
 
 
 def _row_major_chunks(values: np.ndarray) -> Iterator[np.ndarray]:
@@ -190,39 +224,32 @@ class JointDistribution:
     cardinalities : tuple of int
         Alphabet size per variable.
     representation : str
-        Either ``"dense"`` (contiguous mixed-radix table) or ``"sparse"``
-        (sorted state -> mass map holding only positive masses).
+        Either ``"dense"`` (one mass per joint state, codes implicit) or
+        ``"sparse"`` (the positive masses and their ascending codes).
     config : EstimatorConfig
         Numeric policy the distribution was built with; inherited by
         derived distributions.
     """
 
     __slots__ = ("n_vars", "cardinalities", "representation", "config",
-                 "_table", "_entries")
+                 "_masses", "_codes")
 
     def __init__(
         self,
         cardinalities: Sequence[int],
+        masses: np.ndarray,
+        codes: np.ndarray | None = None,
         *,
-        table: np.ndarray | None = None,
-        entries: dict[State, float] | None = None,
         config: EstimatorConfig,
     ):
         cards = tuple(int(c) for c in cardinalities)
         self.cardinalities = cards
         self.n_vars = len(cards)
         self.config = config
-        if table is not None:
-            table = np.ascontiguousarray(table, dtype=np.float64)
-            table.flags.writeable = False
-            self._table = table
-            self._entries = None
-            self.representation = "dense"
-        else:
-            assert entries is not None
-            self._table = None
-            self._entries = entries
-            self.representation = "sparse"
+        self._masses = np.ascontiguousarray(masses, dtype=np.float64)
+        self._masses.flags.writeable = False
+        self._codes = codes
+        self.representation = "dense" if codes is None else "sparse"
 
     # -- basic accessors -----------------------------------------------------
 
@@ -234,31 +261,30 @@ class JointDistribution:
     @property
     def support_size(self) -> int:
         """Number of states carrying strictly positive mass."""
-        if self._table is not None:
-            return int(np.count_nonzero(self._table))
-        return len(self._entries)
+        return int(np.count_nonzero(self._masses))
 
     def mass(self, state: Sequence[int]) -> float:
         """Probability mass of one joint state."""
         s = self._check_state(tuple(int(x) for x in state))
-        if self._table is not None:
-            return float(self._table[s])
-        return self._entries.get(s, 0.0)
+        code = 0
+        for digit, card in zip(s, self.cardinalities):
+            code = code * card + digit
+        if self._codes is None:
+            return float(self._masses[code])
+        i = int(np.searchsorted(self._codes, code))
+        hit = i < self._codes.size and self._codes[i] == code
+        return float(self._masses[i]) if hit else 0.0
 
     def items(self) -> Iterator[tuple[State, float]]:
         """Iterate ``(state, mass)`` over the support in ascending state order."""
-        if self._table is not None:
-            flat = self._table.reshape(-1)
-            idx = np.flatnonzero(flat)
-            coords = np.unravel_index(idx, self.cardinalities)
-            for j, lin in enumerate(idx):
-                yield tuple(int(c[j]) for c in coords), float(flat[lin])
-        else:
-            yield from self._entries.items()
+        codes, masses = self._support()
+        columns = [d.tolist() for d in _digits(codes, self.cardinalities)]
+        yield from zip(zip(*columns), masses.tolist())
 
     def total_mass(self) -> float:
         """Canonical-order sum of all masses (1 up to rounding)."""
-        return _fold(self._nonzero_masses())
+        m = self._masses
+        return _fold(m[m > 0.0])
 
     def dense_table(self) -> np.ndarray:
         """Materialize the full table as a writable array copy."""
@@ -267,28 +293,23 @@ class JointDistribution:
                 f"{self.n_states} states exceed max_dense_states="
                 f"{self.config.max_dense_states}"
             )
-        if self._table is not None:
-            return self._table.copy()
-        table = np.zeros(self.cardinalities, dtype=np.float64)
-        for state, mass in self._entries.items():
-            table[state] = mass
-        return table
+        codes, masses = self._support()
+        table = np.zeros(self.n_states, dtype=np.float64)
+        table[codes] = masses
+        return table.reshape(self.cardinalities)
 
     def to_dense(self) -> "JointDistribution":
         """Same distribution, dense representation."""
-        if self._table is not None:
-            return self
         return JointDistribution(
-            self.cardinalities, table=self.dense_table(), config=self.config
+            self.cardinalities, self.dense_table().reshape(-1),
+            config=self.config,
         )
 
     def to_sparse(self) -> "JointDistribution":
         """Same distribution, sparse representation."""
-        if self._table is None:
-            return self
-        entries = dict(self.items())
+        codes, masses = self._support()
         return JointDistribution(
-            self.cardinalities, entries=entries, config=self.config
+            self.cardinalities, masses, codes, config=self.config
         )
 
     def __repr__(self) -> str:
@@ -313,15 +334,34 @@ class JointDistribution:
                 )
         return state
 
-    def _nonzero_masses(self) -> np.ndarray:
-        """Positive masses in ascending state order; identical for both
-        representations of the same distribution."""
-        if self._table is not None:
-            flat = self._table.reshape(-1)
-            return flat[flat > 0.0]
-        return np.fromiter(
-            self._entries.values(), dtype=np.float64, count=len(self._entries)
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, masses) of the positive masses in ascending code order;
+        identical for both representations of the same distribution."""
+        if self._codes is not None:
+            return self._codes, self._masses
+        codes = np.flatnonzero(self._masses)
+        return codes, self._masses[codes]
+
+
+def _from_support(
+    cards: State, codes: np.ndarray, masses: np.ndarray, cfg: EstimatorConfig
+) -> JointDistribution:
+    """Distribution with ``masses`` on the ascending, distinct ``codes``:
+    dense when the state space fits ``cfg.max_dense_states``, otherwise
+    sparse over the positive masses."""
+    n_states = math.prod(cards)
+    if n_states <= cfg.max_dense_states:
+        table = np.zeros(n_states, dtype=np.float64)
+        table[codes] = masses
+        return JointDistribution(cards, table, config=cfg)
+    positive = masses > 0.0
+    n_support = int(np.count_nonzero(positive))
+    if n_support > cfg.max_dense_states:
+        raise TableTooLargeError(
+            f"sparse support of {n_support} states exceeds "
+            f"max_dense_states={cfg.max_dense_states}"
         )
+    return JointDistribution(cards, masses[positive], codes[positive], config=cfg)
 
 
 def build_distribution(
@@ -330,9 +370,11 @@ def build_distribution(
     config: EstimatorConfig | None = None,
     *,
     renormalize: bool = False,
-    representation: str = "auto",
 ) -> JointDistribution:
     """Validate and construct a joint distribution from explicit entries.
+
+    The result is dense when the state space fits under
+    ``config.max_dense_states``, sparse otherwise.
 
     Parameters
     ----------
@@ -340,18 +382,14 @@ def build_distribution(
         Alphabet size per variable; non-empty, all >= 1.
     entries : iterable of (state, mass)
         Joint states with their probability masses. Unlisted states have
-        mass 0; duplicate states accumulate. For single-variable systems a
-        bare int is accepted as the state.
+        mass 0; duplicate states accumulate, in the order given. For
+        single-variable systems a bare int is accepted as the state.
     config : EstimatorConfig, optional
         Numeric policy; defaults to :data:`DEFAULT_CONFIG`.
     renormalize : bool
         When True, divide all masses by their total instead of requiring
         the total to be 1. Off by default: silently renormalizing hides
         data bugs upstream.
-    representation : {"auto", "dense", "sparse"}
-        "auto" picks dense when the state space fits under
-        ``config.max_dense_states``, sparse otherwise. Forcing "dense" on a
-        larger space raises TableTooLargeError.
 
     Raises
     ------
@@ -366,7 +404,8 @@ def build_distribution(
         raise StateOutOfRangeError(f"cardinalities must all be >= 1: {cards}")
     n = len(cards)
 
-    acc: dict[State, float] = {}
+    raw_codes: list[int] = []
+    raw_masses: list[float] = []
     for raw_state, raw_mass in entries:
         if isinstance(raw_state, (int, np.integer)):
             state: State = (int(raw_state),)
@@ -376,59 +415,38 @@ def build_distribution(
             raise StateOutOfRangeError(
                 f"state {state} has arity {len(state)}, expected {n}"
             )
+        code = 0
         for i, (s, c) in enumerate(zip(state, cards)):
             if not 0 <= s < c:
                 raise StateOutOfRangeError(
                     f"coordinate {i} of state {state} outside [0, {c})"
                 )
+            code = code * c + s
         mass = float(raw_mass)
         if mass < 0.0:
             raise NegativeMassError(f"state {state} has negative mass {mass}")
-        acc[state] = acc.get(state, 0.0) + mass
+        if not math.isfinite(mass):
+            raise NonFiniteMassError(f"state {state} has non-finite mass {mass!r}")
+        raw_codes.append(code)
+        raw_masses.append(mass)
 
-    ordered = dict(sorted(acc.items()))
-    masses = np.fromiter(ordered.values(), dtype=np.float64, count=len(ordered))
-    if not np.isfinite(masses).all():
-        bad = next(s for s, m in ordered.items() if not math.isfinite(m))
-        raise NonFiniteMassError(
-            f"state {bad} has non-finite mass {ordered[bad]!r}"
-        )
+    codes, inverse = np.unique(
+        np.array(raw_codes, dtype=_code_dtype(cards)), return_inverse=True
+    )
+    masses = np.bincount(inverse, weights=raw_masses, minlength=codes.size)
     total = _fold(masses)
     if renormalize:
         if not 0.0 < total < math.inf:
             raise NotNormalizedError(
                 f"cannot renormalize: total mass is {total!r}"
             )
-        ordered = {s: m / total for s, m in ordered.items()}
+        masses /= total
     elif abs(total - 1.0) > cfg.normalization_tolerance:
         raise NotNormalizedError(
             f"masses sum to {total!r}, outside tolerance "
             f"{cfg.normalization_tolerance} of 1"
         )
-
-    n_states = math.prod(cards)
-    if representation not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown representation {representation!r}")
-    dense = representation == "dense" or (
-        representation == "auto" and n_states <= cfg.max_dense_states
-    )
-    if dense:
-        if n_states > cfg.max_dense_states:
-            raise TableTooLargeError(
-                f"dense table of {n_states} states exceeds max_dense_states="
-                f"{cfg.max_dense_states}"
-            )
-        table = np.zeros(cards, dtype=np.float64)
-        for state, mass in ordered.items():
-            table[state] = mass
-        return JointDistribution(cards, table=table, config=cfg)
-    entries_pos = {s: m for s, m in ordered.items() if m > 0.0}
-    if len(entries_pos) > cfg.max_dense_states:
-        raise TableTooLargeError(
-            f"sparse support of {len(entries_pos)} states exceeds "
-            f"max_dense_states={cfg.max_dense_states}"
-        )
-    return JointDistribution(cards, entries=entries_pos, config=cfg)
+    return _from_support(cards, codes, masses, cfg)
 
 
 def marginalize(dist: JointDistribution, keep: Iterable[int]) -> JointDistribution:
@@ -436,7 +454,8 @@ def marginalize(dist: JointDistribution, keep: Iterable[int]) -> JointDistributi
 
     Each retained state's mass is the sum of the discarded-variable
     assignments, accumulated in canonical state order. The result's
-    variables appear in ascending original index order.
+    variables appear in ascending original index order, and it has the
+    representation of ``dist``.
     """
     kept = as_subset(keep, dist.n_vars)
     if kept == tuple(range(dist.n_vars)):
@@ -445,16 +464,17 @@ def marginalize(dist: JointDistribution, keep: Iterable[int]) -> JointDistributi
     dropped = tuple(i for i in range(dist.n_vars) if i not in kept_set)
     new_cards = tuple(dist.cardinalities[i] for i in kept)
 
-    if dist.representation == "dense":
-        folded = _marginal_table(dist._table, kept, dropped)
-        return JointDistribution(new_cards, table=folded, config=dist.config)
+    if dist._codes is None:
+        table = dist._masses.reshape(dist.cardinalities)
+        folded = _marginal_table(table, kept, dropped).reshape(-1)
+        return JointDistribution(new_cards, folded, config=dist.config)
 
-    acc: dict[State, float] = {}
-    for state, mass in dist._entries.items():
-        sub = tuple(state[i] for i in kept)
-        acc[sub] = acc.get(sub, 0.0) + mass
-    entries = {s: m for s, m in sorted(acc.items()) if m > 0.0}
-    return JointDistribution(new_cards, entries=entries, config=dist.config)
+    digits = _digits(dist._codes, dist.cardinalities)
+    codes, inverse = np.unique(
+        _encode([digits[i] for i in kept], new_cards), return_inverse=True
+    )
+    masses = np.bincount(inverse, weights=dist._masses, minlength=codes.size)
+    return JointDistribution(new_cards, masses, codes, config=dist.config)
 
 
 def leave_one_out(dist: JointDistribution, i: int) -> JointDistribution:
@@ -481,14 +501,11 @@ def product(
     """
     cfg = dist_a.config
     cards = dist_a.cardinalities + dist_b.cardinalities
-    n_states = math.prod(cards)
 
-    both_dense = (
-        dist_a.representation == "dense" and dist_b.representation == "dense"
-    )
-    if both_dense and n_states <= cfg.max_dense_states:
-        table = np.multiply.outer(dist_a._table, dist_b._table)
-        return JointDistribution(cards, table=table, config=cfg)
+    both_dense = dist_a._codes is None and dist_b._codes is None
+    if both_dense and math.prod(cards) <= cfg.max_dense_states:
+        table = np.multiply.outer(dist_a._masses, dist_b._masses)
+        return JointDistribution(cards, table.reshape(-1), config=cfg)
 
     nnz = dist_a.support_size * dist_b.support_size
     if nnz > cfg.max_dense_states:
@@ -496,14 +513,15 @@ def product(
             f"product support of {nnz} states exceeds max_dense_states="
             f"{cfg.max_dense_states}"
         )
-    b_items = list(dist_b.items())
-    entries: dict[State, float] = {}
-    for sa, ma in dist_a.items():
-        for sb, mb in b_items:
-            m = ma * mb
-            if m > 0.0:  # a product can underflow to zero
-                entries[sa + sb] = m
-    return JointDistribution(cards, entries=entries, config=cfg)
+    codes_a, masses_a = dist_a._support()
+    codes_b, masses_b = dist_b._support()
+    dtype = _code_dtype(cards)
+    codes = np.add.outer(
+        codes_a.astype(dtype) * dist_b.n_states, codes_b.astype(dtype)
+    ).reshape(-1)
+    masses = np.multiply.outer(masses_a, masses_b).reshape(-1)
+    positive = masses > 0.0  # a product can underflow to zero
+    return JointDistribution(cards, masses[positive], codes[positive], config=cfg)
 
 
 def entropy(dist: JointDistribution) -> float:
@@ -513,7 +531,8 @@ def entropy(dist: JointDistribution) -> float:
     positive mass, however small, contributes its finite p*log(p). The
     result is never -0.0 (a point mass has entropy +0.0).
     """
-    p = dist._nonzero_masses()
+    m = dist._masses
+    p = m[m > 0.0]
     # log2(p) * p in place: one table-sized temporary, not two
     terms = np.log2(p)
     terms *= p
@@ -553,13 +572,11 @@ def estimate_from_samples(
     cfg = config if config is not None else DEFAULT_CONFIG
     rows = [tuple(r) for r in rows]
     alphabets = infer_alphabets(rows)
-    index_maps = [{sym: i for i, sym in enumerate(alpha)} for alpha in alphabets]
     cards = tuple(len(a) for a in alphabets)
-
-    counts: dict[State, int] = {}
-    for row in rows:
-        state = tuple(index_maps[j][row[j]] for j in range(len(cards)))
-        counts[state] = counts.get(state, 0) + 1
-    n = len(rows)
-    entries = [(state, c / n) for state, c in sorted(counts.items())]
-    return build_distribution(cards, entries, cfg)
+    index_maps = [{sym: i for i, sym in enumerate(alpha)} for alpha in alphabets]
+    columns = [
+        np.fromiter((index[row[j]] for row in rows), np.int64, len(rows))
+        for j, index in enumerate(index_maps)
+    ]
+    codes, counts = np.unique(_encode(columns, cards), return_counts=True)
+    return _from_support(cards, codes, counts / len(rows), cfg)

@@ -11,8 +11,10 @@ reproduces every mass bit for bit.
 
 Samples CSV: a header row of variable names, then one row per
 observation. A column whose every cell parses as an integer is read as
-integers; otherwise its cells stay strings. Symbols are mapped to indices
-in sorted order by the estimator.
+integers; otherwise its cells stay strings. In an all-integer column,
+cells that spell the same integer are one symbol: "01", "1" and "+1" are
+all the integer 1. A column with any non-integer cell keeps "01" and "1"
+apart. Symbols are mapped to indices in sorted order by the estimator.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ passed seeds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -27,8 +26,11 @@ from .distribution import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     JointDistribution,
+    _digits,
+    _encode,
     _fold,
-    build_distribution,
+    _from_support,
+    build_distribution,  # noqa: F401 -- kept in this module's namespace
     product,
 )
 from .errors import EmptyInputError, InvalidOrderError, TableTooLargeError
@@ -139,9 +141,10 @@ def giant_bit(
         raise InvalidOrderError(f"giant bit needs order >= 2, got {order}")
     if alphabet < 2:
         raise InvalidOrderError(f"giant bit needs alphabet >= 2, got {alphabet}")
-    mass = 1.0 / alphabet
-    entries = [((a,) * order, mass) for a in range(alphabet)]
-    return build_distribution((alphabet,) * order, entries, config)
+    cfg = config if config is not None else DEFAULT_CONFIG
+    cards = (alphabet,) * order
+    codes = _encode([np.arange(alphabet)] * order, cards)
+    return _from_support(cards, codes, np.full(alphabet, 1.0 / alphabet), cfg)
 
 
 def parity(
@@ -158,12 +161,13 @@ def parity(
         raise InvalidOrderError(f"parity needs order >= 2, got {order}")
     if alphabet < 2:
         raise InvalidOrderError(f"parity needs alphabet >= 2, got {alphabet}")
-    mass = 1.0 / alphabet ** (order - 1)
-    entries = []
-    for inputs in itertools.product(range(alphabet), repeat=order - 1):
-        check = sum(inputs) % alphabet
-        entries.append((inputs + (check,), mass))
-    return build_distribution((alphabet,) * order, entries, config)
+    cfg = config if config is not None else DEFAULT_CONFIG
+    n_inputs = alphabet ** (order - 1)
+    inputs = np.arange(n_inputs)
+    check = sum(_digits(inputs, (alphabet,) * (order - 1))) % alphabet
+    codes = _encode([inputs, check], (n_inputs, alphabet))
+    masses = np.full(n_inputs, 1.0 / n_inputs)
+    return _from_support((alphabet,) * order, codes, masses, cfg)
 
 
 def point_mass(
@@ -178,9 +182,10 @@ def point_mass(
         raise InvalidOrderError(f"point mass needs n_vars >= 1, got {n_vars}")
     if alphabet < 1:
         raise InvalidOrderError(f"point mass needs alphabet >= 1, got {alphabet}")
-    return build_distribution(
-        (alphabet,) * n_vars, [((0,) * n_vars, 1.0)], config
-    )
+    cfg = config if config is not None else DEFAULT_CONFIG
+    cards = (alphabet,) * n_vars
+    codes = _encode([np.zeros(1, dtype=np.int64)] * n_vars, cards)
+    return _from_support(cards, codes, np.ones(1), cfg)
 
 
 def random_distribution(
@@ -263,8 +268,7 @@ def random_distribution(
             quanta[takeable] -= 1
             deficit -= takeable.size
 
-    table = (quanta / float(target)).reshape(cards)
-    return JointDistribution(cards, table=table, config=cfg)
+    return JointDistribution(cards, quanta / float(target), config=cfg)
 
 
 def generate(

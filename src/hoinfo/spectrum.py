@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .distribution import EstimatorConfig, JointDistribution
+from .distribution import JointDistribution
 from .errors import IndexOutOfRangeError
 from .measures import MeasureReport, measure_report
 
@@ -61,16 +61,12 @@ class SpectrumResult:
         return len(self.delta) - 1
 
 
-def compute_spectrum(
-    dist: JointDistribution, config: EstimatorConfig | None = None
-) -> SpectrumResult:
+def compute_spectrum(dist: JointDistribution) -> SpectrumResult:
     """Sweep delta[k] and gamma[k] for k = 0..N and extract diagnostics.
 
-    ``config`` (default: the distribution's own) supplies the
-    zero_tolerance used for order and crossing determination; measure
-    values themselves always follow the distribution's config.
+    The distribution's config supplies the measure values and the
+    zero_tolerance used for order and crossing determination.
     """
-    cfg = config if config is not None else dist.config
     measures = measure_report(dist)
     s = measures.s_information
     t = measures.total_correlation
@@ -80,7 +76,7 @@ def compute_spectrum(
     delta = tuple(s - k * t for k in range(n + 1))
     gamma = tuple(s - k * d for k in range(n + 1))
 
-    tol = cfg.zero_tolerance
+    tol = dist.config.zero_tolerance
     synergy_order = None
     delta_crossing = None
     if t > tol:

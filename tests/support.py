@@ -69,6 +69,52 @@ def dyadic_random_table(rng: np.random.Generator, cards,
     return build_distribution(cards, entries)
 
 
+# Reference algorithms for the support store: plain ``state -> mass`` dicts
+# that fold every sum in the order the package documents, so the package
+# must match them bit for bit.
+
+
+def dict_build(entries) -> dict:
+    """Entries summed per state in input order from 0.0, in ascending
+    state order, zero masses kept."""
+    acc: dict = {}
+    for state, mass in entries:
+        acc[state] = acc.get(state, 0.0) + mass
+    return dict(sorted(acc.items()))
+
+
+def dict_marginal(pmf: dict, keep: tuple) -> dict:
+    """Marginal of ``pmf`` over ``keep``: each kept state's mass folded
+    from 0.0 over its states in ascending order."""
+    acc: dict = {}
+    for state, mass in sorted(pmf.items()):
+        sub = tuple(state[i] for i in keep)
+        acc[sub] = acc.get(sub, 0.0) + mass
+    return {s: m for s, m in sorted(acc.items()) if m > 0.0}
+
+
+def dict_product(pmf_a: dict, pmf_b: dict) -> dict:
+    """Independent join of two supports; products that underflow to 0.0
+    are not support."""
+    out = {}
+    for sa, ma in sorted(pmf_a.items()):
+        for sb, mb in sorted(pmf_b.items()):
+            if ma * mb > 0.0:
+                out[sa + sb] = ma * mb
+    return out
+
+
+def random_table(cards, seed: int, zero_share: float) -> JointDistribution:
+    """Dense table of masses that are not binary fractions, with about
+    ``zero_share`` of its cells zero, so sums depend on their order."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(cards) ** 4
+    weights[rng.random(cards) < zero_share] = 0.0
+    weights.flat[0] += 1.0
+    entries = [(s, float(weights[s])) for s in np.ndindex(*cards)]
+    return build_distribution(cards, entries, renormalize=True)
+
+
 # Cross-check paths: D, delta and gamma from joint and leave-one-out total
 # correlations alone, each marginal T recomputed from scratch. They share
 # the package's total_correlation and leave_one_out, so they check the

@@ -25,6 +25,7 @@ from hoinfo import (
     infer_alphabets,
     leave_one_out,
     marginalize,
+    measure_report,
     o_information,
     point_mass,
     product,
@@ -32,6 +33,7 @@ from hoinfo import (
     s_information,
     total_correlation,
 )
+from hoinfo.fileio import parse_samples_csv
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +117,6 @@ def test_build_rejects_nonpositive_cardinality():
 def test_build_duplicate_states_accumulate():
     d = build_distribution([2], [((0,), 0.25), ((0,), 0.25), ((1,), 0.5)])
     assert d.mass((0,)) == 0.5
-
-
-def test_forced_dense_over_cap_raises():
-    cfg = EstimatorConfig(max_dense_states=4)
-    entries = [((0, 0, 0), 0.5), ((1, 1, 1), 0.5)]
-    with pytest.raises(TableTooLargeError):
-        build_distribution([2, 2, 2], entries, cfg, representation="dense")
 
 
 def test_auto_representation_switches_to_sparse_over_cap():
@@ -271,6 +266,8 @@ def test_sparse_product_drops_underflowed_masses():
     assert sparse.representation == "sparse"
     # 1e-200 * 1e-200 underflows to 0.0 and is not support
     assert sparse.support_size == dense.support_size == 3
+    pmf = dict(a.items())
+    assert dict(sparse.items()) == support.dict_product(pmf, pmf)
     assert math.isfinite(entropy(sparse))
     assert entropy(sparse) == entropy(dense)
     for measure in (total_correlation, dual_total_correlation,
@@ -400,6 +397,39 @@ def test_estimate_sorts_symbols_deterministically():
     assert d.mass((1, 1)) == 0.5  # ("b", 1)
     shuffled = estimate_from_samples(rows[::-1])
     assert np.array_equal(d.dense_table(), shuffled.dense_table())
+
+
+def test_csv_integer_column_merges_spellings_of_one_value():
+    # an all-integer column is read as integers, so "01" and "1" are one
+    # symbol; a column with any other cell keeps every cell as its string
+    _, rows = parse_samples_csv("x,y\n01,a\n1,a\n0,01\n00,1\n")
+    assert rows == [(1, "a"), (1, "a"), (0, "01"), (0, "1")]
+    assert infer_alphabets(rows) == [[0, 1], ["01", "1", "a"]]
+
+
+def test_estimate_64_column_csv_matches_oracle():
+    # 3**64 joint states: codes of the sparse support exceed int64
+    rng = np.random.default_rng(64)
+    inputs = rng.integers(0, 3, size=(300, 63))
+    table = np.concatenate([inputs, inputs.sum(axis=1, keepdims=True) % 3],
+                           axis=1)
+    text = ",".join(f"x{j}" for j in range(64)) + "\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in table.tolist())
+    _, rows = parse_samples_csv(text)
+    d = estimate_from_samples(rows)
+    assert d.n_states == 3**64
+    pmf = {}
+    for row in rows:
+        pmf[row] = pmf.get(row, 0) + 1
+    pmf = {state: count / len(rows) for state, count in pmf.items()}
+    assert dict(d.items()) == pmf
+    report = measure_report(d)
+    assert abs(report.joint_entropy - oracle.entropy_bits(pmf)) < 1e-9
+    assert abs(report.total_correlation
+               - oracle.total_correlation(pmf, 64)) < 1e-9
+    assert abs(report.dual_total_correlation
+               - oracle.dual_total_correlation(pmf, 64)) < 1e-9
+    assert abs(report.s_information - oracle.s_information(pmf, 64)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from hoinfo import (
     giant_bit,
     leave_one_out,
     marginalize,
+    measure_report,
     o_information,
     parity,
     point_mass,
+    product,
     random_distribution,
     s_information,
     spec_from_dict,
@@ -55,6 +57,27 @@ def test_giant_bit_order_two_is_pairwise_only():
     assert total_correlation(g) == 1.0
     assert dual_total_correlation(g) == 1.0
     assert o_information(g) == 0.0
+
+
+def test_giant_bit_beyond_int64_state_space():
+    # 2**70 states: the support is stored sparsely, with state codes past
+    # the int64 range
+    g = giant_bit(70)
+    assert g.representation == "sparse"
+    assert g.support_size == 2
+    report = measure_report(g)
+    assert report.joint_entropy == 1.0
+    assert report.total_correlation == 69.0
+    assert report.dual_total_correlation == 1.0
+    assert report.s_information == 70.0
+    assert leave_one_out(g, 0).support_size == 2
+    # independent product of two int64-coded systems into 3**45 states,
+    # past 2**64: T and D add
+    pair = product(giant_bit(25, 3), giant_bit(20, 3))
+    assert pair.n_vars == 45 and pair.support_size == 9
+    assert total_correlation(pair) == pytest.approx(43 * math.log2(3), abs=1e-9)
+    assert dual_total_correlation(pair) == pytest.approx(2 * math.log2(3),
+                                                         abs=1e-9)
 
 
 def test_giant_bit_rejects_bad_parameters():

@@ -14,7 +14,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import hoinfo.distribution as distribution
-from hoinfo import build_distribution, marginalize
+import support
+from hoinfo import marginalize
 
 cardinalities = st.lists(
     st.integers(1, 4), min_size=2, max_size=6
@@ -33,16 +34,6 @@ def lex_fold_marginal(table: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def random_table(cards, seed: int, zero_share: float):
-    rng = np.random.default_rng(seed)
-    weights = rng.random(cards) ** 4
-    weights[rng.random(cards) < zero_share] = 0.0
-    weights.flat[0] += 1.0
-    entries = [(s, float(weights[s])) for s in np.ndindex(*cards)]
-    return build_distribution(cards, entries, renormalize=True,
-                              representation="dense")
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     cards=cardinalities,
@@ -55,7 +46,7 @@ def random_table(cards, seed: int, zero_share: float):
 @example(cards=[1, 3, 1, 2], seed=2, zero_share=0.3, chunk=2)
 def test_dense_marginals_equal_lex_fold_and_sparse(cards, seed, zero_share,
                                                    chunk):
-    dense = random_table(cards, seed, zero_share)
+    dense = support.random_table(cards, seed, zero_share)
     sparse = dense.to_sparse()
     table = dense.dense_table()
     n = len(cards)
