@@ -31,6 +31,7 @@ from .errors import (
     HoinfoError,
     IndexOutOfRangeError,
     InvalidOrderError,
+    MalformedInputError,
     NegativeMassError,
     NonFiniteMassError,
     NotNormalizedError,
@@ -97,6 +98,7 @@ __all__ = [
     "OverlappingSubsetsError",
     "SystemTooSmallError",
     "EmptyInputError",
+    "MalformedInputError",
     "RaggedRowsError",
     "InvalidOrderError",
     "FunctionalNegativeError",

@@ -39,6 +39,7 @@ marginal, the caller's order for duplicates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -49,6 +50,7 @@ from .errors import (
     EmptyInputError,
     EmptySubsetError,
     IndexOutOfRangeError,
+    MalformedInputError,
     NegativeMassError,
     NonFiniteMassError,
     NotNormalizedError,
@@ -364,6 +366,104 @@ def _from_support(
     return JointDistribution(cards, masses[positive], codes[positive], config=cfg)
 
 
+def _is_int_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_number_type(kind: type) -> bool:
+    return (issubclass(kind, (int, float, np.integer, np.floating))
+            and not issubclass(kind, bool))
+
+
+def _all_of_type(values: Iterable[object], accept) -> bool:
+    """Whether ``accept`` holds for the type of every element of ``values``;
+    each distinct type is tested once."""
+    return all(map(accept, set(map(type, values))))
+
+
+def _checked_cardinalities(cardinalities: Sequence[int]) -> State:
+    try:
+        cards = tuple(cardinalities)
+    except TypeError:
+        cards = None
+    if cards is None or not _all_of_type(cards, _is_int_type):
+        raise MalformedInputError(
+            f"cardinalities must be a list of integers: {cardinalities!r}"
+        )
+    if not cards:
+        raise EmptyInputError("cardinalities must be non-empty")
+    cards = tuple(int(c) for c in cards)
+    if any(c < 1 for c in cards):
+        raise StateOutOfRangeError(f"cardinalities must all be >= 1: {cards}")
+    return cards
+
+
+def _entry_arrays(
+    states: list, raw_masses: list, cards: State
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Entries as an (n_entries, N) digit array and a float64 mass array,
+    checked as whole arrays; None when any entry breaks a rule that
+    :func:`_entry_fault` states for one entry."""
+    n = len(cards)
+    try:
+        if set(map(len, states)) - {n}:
+            return None
+        cells = list(itertools.chain.from_iterable(states))
+        if not (_all_of_type(cells, _is_int_type)
+                and _all_of_type(raw_masses, _is_number_type)):
+            return None
+        digits = np.fromiter(cells, _code_dtype(cards), len(cells))
+        masses = np.array(raw_masses, dtype=np.float64)
+    except (TypeError, OverflowError):  # an unsized state; a huge number
+        return None
+    digits = digits.reshape(len(states), n)
+    in_range = (digits >= 0) & (digits < np.array(cards, dtype=digits.dtype))
+    if not (in_range.all() and (np.isfinite(masses) & (masses >= 0.0)).all()):
+        return None
+    return digits, masses
+
+
+def _entry_fault(raw_state: object, raw_mass: object, cards: State):
+    """The error for the first rule one entry breaks, or None if it is valid.
+
+    The rules, in the order they are checked: the state is a sequence of
+    integers (not bools), of arity N, each coordinate inside its alphabet;
+    the mass is a real number (not a bool), non-negative and finite.
+    """
+    try:
+        len(raw_state)
+        cells = tuple(raw_state)
+    except TypeError:
+        cells = None
+    if cells is None or not _all_of_type(cells, _is_int_type):
+        return MalformedInputError(
+            f"state {raw_state!r} is not a sequence of integers"
+        )
+    state = tuple(int(x) for x in cells)
+    if len(state) != len(cards):
+        return StateOutOfRangeError(
+            f"state {state} has arity {len(state)}, expected {len(cards)}"
+        )
+    for i, (s, c) in enumerate(zip(state, cards)):
+        if not 0 <= s < c:
+            return StateOutOfRangeError(
+                f"coordinate {i} of state {state} outside [0, {c})"
+            )
+    if not _is_number_type(type(raw_mass)):
+        return MalformedInputError(
+            f"state {state} has mass {raw_mass!r}, which is not a number"
+        )
+    try:
+        mass = float(raw_mass)
+    except OverflowError:
+        mass = math.inf
+    if mass < 0.0:
+        return NegativeMassError(f"state {state} has negative mass {mass}")
+    if not math.isfinite(mass):
+        return NonFiniteMassError(f"state {state} has non-finite mass {mass!r}")
+    return None
+
+
 def build_distribution(
     cardinalities: Sequence[int],
     entries: Iterable[tuple[Sequence[int] | int, float]],
@@ -374,16 +474,20 @@ def build_distribution(
     """Validate and construct a joint distribution from explicit entries.
 
     The result is dense when the state space fits under
-    ``config.max_dense_states``, sparse otherwise.
+    ``config.max_dense_states``, sparse otherwise. All entries are checked
+    together as arrays; when one is invalid, the error raised is the one
+    for the first invalid entry in input order.
 
     Parameters
     ----------
     cardinalities : sequence of int
-        Alphabet size per variable; non-empty, all >= 1.
+        Alphabet size per variable; non-empty, all integers >= 1.
     entries : iterable of (state, mass)
-        Joint states with their probability masses. Unlisted states have
-        mass 0; duplicate states accumulate, in the order given. For
-        single-variable systems a bare int is accepted as the state.
+        Joint states with their probability masses. A state is a sequence
+        of integers (bools are not integers here); a mass is a real
+        number. Unlisted states have mass 0; duplicate states accumulate,
+        in the order given. For single-variable systems a bare int is
+        accepted as the state.
     config : EstimatorConfig, optional
         Numeric policy; defaults to :data:`DEFAULT_CONFIG`.
     renormalize : bool
@@ -394,47 +498,28 @@ def build_distribution(
     Raises
     ------
     NotNormalizedError, StateOutOfRangeError, NegativeMassError,
-    NonFiniteMassError, TableTooLargeError, EmptyInputError
+    NonFiniteMassError, MalformedInputError, TableTooLargeError,
+    EmptyInputError
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    cards = tuple(int(c) for c in cardinalities)
-    if not cards:
-        raise EmptyInputError("cardinalities must be non-empty")
-    if any(c < 1 for c in cards):
-        raise StateOutOfRangeError(f"cardinalities must all be >= 1: {cards}")
-    n = len(cards)
+    cards = _checked_cardinalities(cardinalities)
 
-    raw_codes: list[int] = []
-    raw_masses: list[float] = []
-    for raw_state, raw_mass in entries:
-        if isinstance(raw_state, (int, np.integer)):
-            state: State = (int(raw_state),)
-        else:
-            state = tuple(int(x) for x in raw_state)
-        if len(state) != n:
-            raise StateOutOfRangeError(
-                f"state {state} has arity {len(state)}, expected {n}"
-            )
-        code = 0
-        for i, (s, c) in enumerate(zip(state, cards)):
-            if not 0 <= s < c:
-                raise StateOutOfRangeError(
-                    f"coordinate {i} of state {state} outside [0, {c})"
-                )
-            code = code * c + s
-        mass = float(raw_mass)
-        if mass < 0.0:
-            raise NegativeMassError(f"state {state} has negative mass {mass}")
-        if not math.isfinite(mass):
-            raise NonFiniteMassError(f"state {state} has non-finite mass {mass!r}")
-        raw_codes.append(code)
-        raw_masses.append(mass)
+    pairs = list(entries)
+    states = [s for s, _ in pairs]
+    raw_masses = [m for _, m in pairs]
+    if any(map(_is_int_type, set(map(type, states)))):
+        # a bare int is a one-variable state
+        states = [(s,) if _is_int_type(type(s)) else s for s in states]
+    arrays = _entry_arrays(states, raw_masses, cards)
+    if arrays is None:  # raise the error of the first invalid entry
+        raise next(filter(None, map(_entry_fault, states, raw_masses,
+                                    itertools.repeat(cards))))
+    digits, masses = arrays
 
-    codes, inverse = np.unique(
-        np.array(raw_codes, dtype=_code_dtype(cards)), return_inverse=True
-    )
-    masses = np.bincount(inverse, weights=raw_masses, minlength=codes.size)
-    total = _fold(masses)
+    codes, inverse = np.unique(_encode(digits.T, cards), return_inverse=True)
+    masses = np.bincount(inverse, weights=masses, minlength=codes.size)
+    with np.errstate(over="ignore"):  # an infinite total is rejected below
+        total = _fold(masses)
     if renormalize:
         if not 0.0 < total < math.inf:
             raise NotNormalizedError(
@@ -539,6 +624,22 @@ def entropy(dist: JointDistribution) -> float:
     return 0.0 - _fold(terms) / math.log2(dist.config.log_base)
 
 
+def _sample_columns(rows: Iterable[Sequence[object]]) -> list[tuple]:
+    """The columns of sample rows, which must all have one arity."""
+    rows = list(rows)
+    if not rows:
+        raise EmptyInputError("no sample rows given")
+    arity = len(rows[0])
+    if set(map(len, rows)) != {arity}:
+        r = next(r for r in rows if len(r) != arity)
+        raise RaggedRowsError(
+            f"row arity {len(r)} does not match first row arity {arity}"
+        )
+    if arity == 0:
+        raise EmptyInputError("sample rows have no columns")
+    return list(zip(*rows))
+
+
 def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:
     """Per-variable alphabets observed in sample rows, in sorted symbol order.
 
@@ -546,17 +647,7 @@ def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:
     invariant under row permutations. Symbols within one column must be
     mutually comparable.
     """
-    if not rows:
-        raise EmptyInputError("no sample rows given")
-    arity = len(rows[0])
-    for r in rows:
-        if len(r) != arity:
-            raise RaggedRowsError(
-                f"row arity {len(r)} does not match first row arity {arity}"
-            )
-    if arity == 0:
-        raise EmptyInputError("sample rows have no columns")
-    return [sorted({row[j] for row in rows}) for j in range(arity)]
+    return [sorted(set(column)) for column in _sample_columns(rows)]
 
 
 def estimate_from_samples(
@@ -570,13 +661,13 @@ def estimate_from_samples(
     order. No bias correction is applied.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    rows = [tuple(r) for r in rows]
-    alphabets = infer_alphabets(rows)
-    cards = tuple(len(a) for a in alphabets)
-    index_maps = [{sym: i for i, sym in enumerate(alpha)} for alpha in alphabets]
-    columns = [
-        np.fromiter((index[row[j]] for row in rows), np.int64, len(rows))
-        for j, index in enumerate(index_maps)
-    ]
-    codes, counts = np.unique(_encode(columns, cards), return_counts=True)
-    return _from_support(cards, codes, counts / len(rows), cfg)
+    columns = _sample_columns(rows)
+    n_rows = len(columns[0])
+    digits, cards = [], []
+    for column in columns:
+        alphabet = sorted(set(column))
+        index = {symbol: i for i, symbol in enumerate(alphabet)}
+        digits.append(np.fromiter(map(index.__getitem__, column), np.int64, n_rows))
+        cards.append(len(alphabet))
+    codes, counts = np.unique(_encode(digits, cards), return_counts=True)
+    return _from_support(tuple(cards), codes, counts / n_rows, cfg)

@@ -52,6 +52,11 @@ class EmptyInputError(HoinfoError, ValueError):
     """An input collection that must be non-empty is empty."""
 
 
+class MalformedInputError(HoinfoError, ValueError):
+    """An input value has the wrong type or shape, such as a state
+    coordinate that is not an integer or a mass that is not a number."""
+
+
 class RaggedRowsError(HoinfoError, ValueError):
     """Sample rows do not all have the same number of columns."""
 

@@ -5,9 +5,17 @@ Distribution JSON::
     {"cardinalities": [2, 2, 2],
      "entries": [{"state": [0, 0, 0], "p": 0.25}, ...]}
 
-Unlisted states have p = 0. Probabilities are emitted with full float64
-fidelity (shortest round-tripping decimal form), so a write/read cycle
-reproduces every mass bit for bit.
+Unlisted states have p = 0. A state is a list of JSON integers (a bare
+integer also works for a one-variable system), each cardinality is a JSON
+integer and ``p`` is a JSON number; ``true``/``false``, ``0.5`` and
+``"1"`` are not integers. A value of any other type raises
+:class:`~hoinfo.errors.MalformedInputError`; nothing is coerced.
+
+The writer's layout is pinned: byte for byte what ``json.dumps(obj,
+indent=2)`` writes for that object, with the support entries in ascending
+state order. Probabilities are emitted with full float64 fidelity
+(shortest round-tripping decimal form), so a write/read cycle reproduces
+every mass bit for bit.
 
 Samples CSV: a header row of variable names, then one row per
 observation. A column whose every cell parses as an integer is read as
@@ -29,24 +37,25 @@ from .distribution import (
     JointDistribution,
     build_distribution,
 )
-from .errors import EmptyInputError, RaggedRowsError
+from .errors import EmptyInputError, MalformedInputError, RaggedRowsError
 
 FORMAT_DIST_JSON = "dist-json"
 FORMAT_SAMPLES_CSV = "samples-csv"
 
 
-def distribution_to_obj(dist: JointDistribution) -> dict:
-    """JSON-ready object for a distribution (support entries only)."""
-    return {
-        "cardinalities": list(dist.cardinalities),
-        "entries": [
-            {"state": list(state), "p": mass} for state, mass in dist.items()
-        ],
-    }
-
-
 def dumps_distribution(dist: JointDistribution) -> str:
-    return json.dumps(distribution_to_obj(dist), indent=2)
+    """Distribution JSON of ``dist``: the support in ascending state order,
+    laid out byte for byte as ``json.dumps(obj, indent=2)`` lays out
+    ``{"cardinalities": [...], "entries": [{"state": [...], "p": ...}]}``."""
+    cards = ",\n".join(f"    {c}" for c in dist.cardinalities)
+    entry = (
+        '\n    {\n      "state": [\n'
+        + ",\n".join(["        %d"] * dist.n_vars)
+        + '\n      ],\n      "p": %r\n    }'
+    )
+    body = ",".join([entry % (*state, mass) for state, mass in dist.items()])
+    return (f'{{\n  "cardinalities": [\n{cards}\n  ],\n'
+            f'  "entries": [{body}\n  ]\n}}')
 
 
 def distribution_from_obj(
@@ -62,11 +71,14 @@ def distribution_from_obj(
         raise EmptyInputError(
             "distribution JSON needs 'cardinalities' and 'entries'"
         )
-    entries = []
-    for item in obj["entries"]:
-        if "state" not in item or "p" not in item:
-            raise EmptyInputError("each entry needs 'state' and 'p'")
-        entries.append((tuple(item["state"]), float(item["p"])))
+    try:
+        entries = [(item["state"], item["p"]) for item in obj["entries"]]
+    except KeyError:
+        raise EmptyInputError("each entry needs 'state' and 'p'") from None
+    except TypeError:
+        raise MalformedInputError(
+            "'entries' must be a list of objects with 'state' and 'p'"
+        ) from None
     return build_distribution(
         obj["cardinalities"], entries, config, renormalize=renormalize
     )
@@ -93,20 +105,25 @@ def parse_samples_csv(text: str) -> tuple[list[str], list[tuple]]:
     if not raw_rows:
         raise EmptyInputError("samples CSV has a header but no observations")
     arity = len(header)
-    for row in raw_rows:
-        if len(row) != arity:
-            raise RaggedRowsError(
-                f"row {row!r} has {len(row)} columns, header has {arity}"
-            )
-    columns = []
-    for j in range(arity):
-        cells = [row[j] for row in raw_rows]
-        try:
-            columns.append([int(c) for c in cells])
-        except ValueError:
-            columns.append(cells)
-    rows = [tuple(col[i] for col in columns) for i in range(len(raw_rows))]
-    return list(header), rows
+    if set(map(len, raw_rows)) != {arity}:
+        row = next(row for row in raw_rows if len(row) != arity)
+        raise RaggedRowsError(
+            f"row {row!r} has {len(row)} columns, header has {arity}"
+        )
+    columns = [_typed_column(cells) for cells in zip(*raw_rows)]
+    return list(header), list(zip(*columns))
+
+
+def _typed_column(cells: tuple[str, ...]) -> Sequence:
+    """The column as integers if every cell parses as one, else unchanged.
+
+    ``int`` runs once per distinct cell text, not once per cell.
+    """
+    try:
+        value = {cell: int(cell) for cell in set(cells)}
+    except ValueError:
+        return cells
+    return list(map(value.__getitem__, cells))
 
 
 def sniff_format(path: str, text: str) -> str:

@@ -198,9 +198,6 @@ def gamma_k(dist: JointDistribution, k: int) -> float:
     return r.s_information - k * r.dual_total_correlation
 
 
-_FRAGILITY_WARNED: set[str] = set()
-
-
 def generic_delta_k(
     functional: MeasureFunctional, dist: JointDistribution, k: int
 ) -> float:
@@ -212,20 +209,19 @@ def generic_delta_k(
     every evaluated distribution, and must not increase under
     marginalization. The third (pure order-k relationships must vanish
     under any single marginalization) quantifies over all pure systems and
-    cannot be checked per input; a one-time warning per functional records
-    that it is assumed, not verified.
+    cannot be checked per input; a ``UserWarning`` naming the functional
+    records that it is assumed, not verified. Under the default warning
+    filters it is shown once per functional and call site.
     """
     _require_multivariate(dist)
     tol = dist.config.zero_tolerance
-    if functional.name not in _FRAGILITY_WARNED:
-        _FRAGILITY_WARNED.add(functional.name)
-        warnings.warn(
-            f"functional {functional.name!r}: fragility of pure order-k "
-            "relationships is assumed, not verified; order interpretations "
-            "require it",
-            UserWarning,
-            stacklevel=2,
-        )
+    warnings.warn(
+        f"functional {functional.name!r}: fragility of pure order-k "
+        "relationships is assumed, not verified; order interpretations "
+        "require it",
+        UserWarning,
+        stacklevel=2,
+    )
     f_joint = _checked_value(functional, dist, tol)
     acc = 0.0
     for i in range(dist.n_vars):

@@ -4,6 +4,8 @@ Every random object is derived from an explicit master seed so the whole
 suite is reproducible bit for bit.
 """
 
+import math
+
 import numpy as np
 
 from hoinfo import (
@@ -81,6 +83,45 @@ def dict_build(entries) -> dict:
     for state, mass in entries:
         acc[state] = acc.get(state, 0.0) + mass
     return dict(sorted(acc.items()))
+
+
+def distribution_to_obj(dist: JointDistribution) -> dict:
+    """The distribution JSON object of ``dist``, support entries in
+    ascending state order; ``json.dumps(obj, indent=2)`` of it is the
+    layout ``dumps_distribution`` must write byte for byte."""
+    return {
+        "cardinalities": list(dist.cardinalities),
+        "entries": [
+            {"state": list(state), "p": mass} for state, mass in dist.items()
+        ],
+    }
+
+
+def loop_entry_error(cardinalities, entries):
+    """(class name, message) of the error for the first invalid entry, as
+    a per-entry loop finds it, or None when every entry is valid.
+
+    Covers the rules for well-typed entries: arity, coordinate range, then
+    a negative or non-finite mass, checked in that order within an entry.
+    """
+    n = len(cardinalities)
+    for raw_state, raw_mass in entries:
+        state = tuple(int(x) for x in raw_state)
+        if len(state) != n:
+            return ("StateOutOfRangeError",
+                    f"state {state} has arity {len(state)}, expected {n}")
+        for i, (s, c) in enumerate(zip(state, cardinalities)):
+            if not 0 <= s < c:
+                return ("StateOutOfRangeError",
+                        f"coordinate {i} of state {state} outside [0, {c})")
+        mass = float(raw_mass)
+        if mass < 0.0:
+            return ("NegativeMassError",
+                    f"state {state} has negative mass {mass}")
+        if not math.isfinite(mass):
+            return ("NonFiniteMassError",
+                    f"state {state} has non-finite mass {mass!r}")
+    return None
 
 
 def dict_marginal(pmf: dict, keep: tuple) -> dict:

@@ -325,6 +325,41 @@ def test_measures_rejects_nan_mass_file(tmp_path, capsys):
     assert "non-finite" in err
 
 
+# Distribution JSON that used to crash with a TypeError traceback or be
+# coerced into plausible numbers; each must be a one-line error, exit 1.
+MALFORMED_JSON = {
+    "entry_not_an_object": '{"cardinalities": [2], "entries": [5]}',
+    "state_not_a_list": (
+        '{"cardinalities": [2, 2], "entries": [{"state": 5, "p": 1.0}]}'),
+    "null_mass": (
+        '{"cardinalities": [2], "entries": [{"state": [0], "p": null}]}'),
+    "scalar_cardinalities": (
+        '{"cardinalities": 2, "entries": [{"state": [0], "p": 1.0}]}'),
+    "float_coordinate": (
+        '{"cardinalities": [2, 2], "entries": [{"state": [0, 0.5], "p": 1.0}]}'),
+    "bool_coordinate": (
+        '{"cardinalities": [2, 2], "entries": [{"state": [0, true], "p": 1.0}]}'),
+    "string_coordinates": (
+        '{"cardinalities": [2, 2], '
+        '"entries": [{"state": ["1", "0"], "p": 1.0}]}'),
+    "string_mass": (
+        '{"cardinalities": [2], "entries": [{"state": [0], "p": "1.0"}]}'),
+    "float_cardinality": (
+        '{"cardinalities": [2.7, 2], '
+        '"entries": [{"state": [0, 0], "p": 1.0}]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_distribution_json_exits_1(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_JSON[case])
+    code, out, err = run_cli(capsys, ["measures", "--input", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hoinfo: error: ") and err.count("\n") == 1
+
+
 def test_normalize_rejects_infinite_mass_file(tmp_path, capsys):
     bad = tmp_path / "inf.json"
     bad.write_text(

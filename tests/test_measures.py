@@ -284,9 +284,6 @@ def tc_functional():
 
 
 def test_generic_matches_delta_with_tc_functional():
-    import hoinfo.measures as m
-
-    m._FRAGILITY_WARNED.clear()
     xor = support.xor_triple()
     with pytest.warns(UserWarning):
         assert generic_delta_k(tc_functional(), xor, 3) == delta_k(xor, 3) == 0.0
@@ -325,17 +322,24 @@ def test_generic_rejects_nonmonotone_functional():
 
 
 def test_generic_warns_once_per_functional():
+    # the default filter shows a warning once per message and call site
     import warnings
 
-    import hoinfo.measures as m
-
-    m._FRAGILITY_WARNED.clear()
     f = MeasureFunctional(name="fresh", evaluate=total_correlation)
-    with pytest.warns(UserWarning, match="fragility"):
-        generic_delta_k(f, support.xor_triple(), 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        generic_delta_k(f, support.xor_triple(), 2)  # no second warning
+    g = MeasureFunctional(name="other", evaluate=total_correlation)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for functional in (f, f, g, g):
+            generic_delta_k(functional, support.xor_triple(), 2)
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "functional 'fresh'", "functional 'other'"]
+
+
+def test_generic_warns_again_when_filters_ask_for_it():
+    f = MeasureFunctional(name="repeated", evaluate=total_correlation)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="'repeated': fragility"):
+            generic_delta_k(f, support.xor_triple(), 2)
 
 
 # ---------------------------------------------------------------------------
