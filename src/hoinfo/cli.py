@@ -35,7 +35,7 @@ from .fileio import (
     sniff_format,
 )
 from .generators import (
-    GENERATOR_KINDS,
+    GENERATOR_KIND_ALIASES,
     GeneratorSpec,
     generate,
     spec_from_dict,
@@ -43,84 +43,65 @@ from .generators import (
 from .measures import measure_report
 from .spectrum import compute_spectrum
 
-# Each kind the command line can build, spelled with "_" or "-", plus "random".
-_GEN_KIND_ALIASES = {
-    spelling: kind
-    for kind in GENERATOR_KINDS
+# Every kind spelling but the independent product's: no flag gives its
+# component specs.
+_CLI_KINDS = sorted(
+    spelling for spelling, kind in GENERATOR_KIND_ALIASES.items()
     if kind != "independent_product"
-    for spelling in (kind, kind.replace("_", "-"))
-} | {"random": "random_dirichlet_like"}
+)
+# The generator flags; each is stored under its generator spec key.
+_GEN_FLAGS = ("order", "alphabet", "n_vars", "seed", "concentration")
 
 
 def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:
-    return EstimatorConfig(
-        log_base=args.base,
-        zero_tolerance=args.tolerance,
-    )
+    return EstimatorConfig(log_base=args.base, zero_tolerance=args.tolerance)
 
 
-def _spec_from_args(args: argparse.Namespace, kind_flag: str) -> GeneratorSpec:
-    raw_kind = getattr(args, kind_flag)
-    kind = _GEN_KIND_ALIASES.get(raw_kind)
-    if kind is None:
+def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec | None:
+    """The spec of ``--gen``/``--kind`` and the generator flags, read by
+    :func:`spec_from_dict`; None when no kind is named."""
+    if args.gen is None:
+        return None
+    if args.gen not in _CLI_KINDS:
         raise InvalidOrderError(
-            f"unknown generator kind {raw_kind!r}; expected one of "
-            f"{sorted(set(_GEN_KIND_ALIASES))}"
+            f"unknown generator kind {args.gen!r}; expected one of {_CLI_KINDS}"
         )
-    return GeneratorSpec(
-        kind=kind,
-        order=args.order,
-        alphabet=args.alphabet,
-        n_vars=args.n_vars,
-        seed=args.seed,
-        concentration=args.concentration,
+    return spec_from_dict(
+        {"kind": args.gen, **{key: getattr(args, key) for key in _GEN_FLAGS}}
     )
 
 
-def _read_input_text(path: str) -> str:
+def _load_input(
+    gen_spec: GeneratorSpec | None,
+    path: str | None,
+    fmt: str,
+    normalize: bool,
+    config: EstimatorConfig,
+) -> tuple[JointDistribution, str, dict | None]:
+    """Generate ``gen_spec``, or read the distribution JSON or samples CSV
+    file at ``path`` (``"-"`` reads stdin); exactly one must be given.
+
+    Returns (distribution, provenance descriptor, alphabet mapping or None).
+    """
+    if (gen_spec is None) == (path is None):
+        raise InvalidOrderError(
+            "give either an input file (--input PATH; 'input' in a manifest) "
+            "or a generator (--gen KIND; 'gen'), not both"
+        )
+    if gen_spec is not None:
+        return generate(gen_spec, config), gen_spec.describe(), None
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _resolve_input(
-    args: argparse.Namespace, config: EstimatorConfig
-) -> tuple[JointDistribution, str, dict | None]:
-    """Load the requested distribution.
-
-    Returns (distribution, provenance descriptor, alphabet mapping or None).
-    """
-    if args.gen is not None and args.input is not None:
-        raise InvalidOrderError("give either --input or --gen, not both")
-    if args.gen is not None:
-        spec = _spec_from_args(args, "gen")
-        return generate(spec, config), spec.describe(), None
-    if args.input is None:
-        raise InvalidOrderError("an input is required: --input PATH or --gen KIND")
-    return _load_file(args.input, args.format, args.normalize, config)
-
-
-def _load_file(
-    path: str, fmt: str, normalize: bool, config: EstimatorConfig
-) -> tuple[JointDistribution, str, dict | None]:
-    """Read a distribution JSON or samples CSV file; ``"-"`` reads stdin.
-
-    Returns (distribution, provenance descriptor, alphabet mapping or None).
-    """
-    text = _read_input_text(path)
-    descriptor = "stdin" if path == "-" else path
+        text, descriptor = sys.stdin.read(), "stdin"
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text, descriptor = handle.read(), path
     if fmt == "auto":
-        fmt = sniff_format("" if path == "-" else path, text)
+        fmt = sniff_format(descriptor, text)
     if fmt == FORMAT_DIST_JSON:
-        dist = loads_distribution(text, config, renormalize=normalize)
-        return dist, descriptor, None
+        return loads_distribution(text, config, renormalize=normalize), descriptor, None
     if fmt == FORMAT_SAMPLES_CSV:
         names, rows = parse_samples_csv(text)
-        mapping = {
-            name: alphabet
-            for name, alphabet in zip(names, infer_alphabets(rows))
-        }
+        mapping = dict(zip(names, infer_alphabets(rows)))
         return estimate_from_samples(rows, config), descriptor, mapping
     raise InvalidOrderError(f"unknown input format {fmt!r}")
 
@@ -128,9 +109,9 @@ def _load_file(
 def _run_report(
     dist: JointDistribution,
     descriptor: str,
+    alphabet_mapping: dict | None,
     *,
     include_spectrum: bool,
-    alphabet_mapping: dict | None = None,
 ) -> dict:
     report: dict = {
         "tool": "hoinfo",
@@ -171,28 +152,24 @@ def _run_report(
 
 
 def _report_csv_rows(report: Mapping) -> list[tuple[str, object]]:
-    """Flatten a report to (field, value) rows for spreadsheet use."""
-    rows: list[tuple[str, object]] = [
-        ("tool", report["tool"]),
-        ("version", report["version"]),
-        ("input_descriptor", report["input_descriptor"]),
-        ("n_vars", report["n_vars"]),
-        ("cardinalities", " ".join(str(c) for c in report["cardinalities"])),
-        ("log_base", report["config"]["log_base"]),
-        ("normalization_tolerance", report["config"]["normalization_tolerance"]),
-        ("zero_tolerance", report["config"]["zero_tolerance"]),
-    ]
-    for key, value in report["measures"].items():
-        rows.append((key, value))
-    spectrum = report.get("spectrum")
-    if spectrum is not None:
-        for k, value in enumerate(spectrum["delta"]):
-            rows.append((f"delta_{k}", value))
-        for k, value in enumerate(spectrum["gamma"]):
-            rows.append((f"gamma_{k}", value))
-        for key in ("synergy_order", "redundancy_order",
-                    "delta_crossing", "gamma_crossing"):
-            rows.append((key, spectrum[key]))
+    """Flatten a report to (field, value) rows for spreadsheet use.
+
+    Nested objects are walked in place under their own keys and a list
+    field becomes one ``field_k`` row per element, except that
+    ``cardinalities`` is one space-joined row and ``alphabet_mapping`` is
+    left out.
+    """
+    rows: list[tuple[str, object]] = []
+    for key, value in report.items():
+        if key == "cardinalities":
+            rows.append((key, " ".join(map(str, value))))
+        elif isinstance(value, Mapping):
+            if key != "alphabet_mapping":
+                rows += _report_csv_rows(value)
+        elif isinstance(value, list):
+            rows += [(f"{key}_{k}", item) for k, item in enumerate(value)]
+        else:
+            rows.append((key, value))
     return rows
 
 
@@ -203,20 +180,11 @@ def _emit_report(report: dict, output: str, stream) -> None:
         return
     stream.write("field,value\n")
     for field, value in _report_csv_rows(report):
-        value_text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
-        stream.write(f"{field},{value_text}\n")
+        text = repr(value) if isinstance(value, float) else str(value)
+        stream.write(f"{field},{'' if value is None else text}\n")
 
 
-def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", metavar="PATH",
-                        help="distribution JSON or samples CSV; '-' reads stdin")
-    parser.add_argument("--format", choices=["auto", FORMAT_DIST_JSON,
-                                             FORMAT_SAMPLES_CSV],
-                        default="auto",
-                        help="input format (default: by extension, then content)")
-    parser.add_argument("--gen", metavar="KIND",
-                        help="generate the input instead: giant-bit, parity, "
-                             "random, point-mass")
+def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, help="gadget order k")
     parser.add_argument("--alphabet", type=int, default=2,
                         help="per-variable alphabet size (default 2)")
@@ -225,8 +193,6 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed for the random kind")
     parser.add_argument("--concentration", type=float, default=1.0,
                         help="mass concentration for the random kind")
-    parser.add_argument("--normalize", action="store_true",
-                        help="renormalize file masses instead of rejecting them")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -245,30 +211,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = "giant-bit, parity, random, point-mass"
 
-    p_measures = sub.add_parser(
-        "measures", help="joint entropy, T, D, S, and O for one input")
-    _add_input_arguments(p_measures)
-    _add_config_arguments(p_measures)
-    p_measures.add_argument("--output", choices=["json", "csv"],
-                            default="json")
-
-    p_spectrum = sub.add_parser(
-        "spectrum", help="measures plus the delta/gamma sweep over k = 0..N")
-    _add_input_arguments(p_spectrum)
-    _add_config_arguments(p_spectrum)
-    p_spectrum.add_argument("--output", choices=["json", "csv"],
-                            default="json")
+    for name, help_text in (
+        ("measures", "joint entropy, T, D, S, and O for one input"),
+        ("spectrum", "measures plus the delta/gamma sweep over k = 0..N"),
+    ):
+        p_report = sub.add_parser(name, help=help_text)
+        p_report.add_argument(
+            "--input", metavar="PATH",
+            help="distribution JSON or samples CSV; '-' reads stdin")
+        p_report.add_argument(
+            "--format", choices=["auto", FORMAT_DIST_JSON, FORMAT_SAMPLES_CSV],
+            default="auto",
+            help="input format (default: by extension, then content)")
+        p_report.add_argument("--gen", metavar="KIND",
+                              help=f"generate the input instead: {kinds}")
+        _add_generator_arguments(p_report)
+        p_report.add_argument(
+            "--normalize", action="store_true",
+            help="renormalize file masses instead of rejecting them")
+        _add_config_arguments(p_report)
+        p_report.add_argument("--output", choices=["json", "csv"],
+                              default="json")
 
     p_gen = sub.add_parser(
         "gen", help="emit a generated distribution as distribution JSON")
-    p_gen.add_argument("--kind", required=True,
-                       help="giant-bit, parity, random, point-mass")
-    p_gen.add_argument("--order", type=int)
-    p_gen.add_argument("--alphabet", type=int, default=2)
-    p_gen.add_argument("--n-vars", type=int, dest="n_vars")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--concentration", type=float, default=1.0)
+    p_gen.add_argument("--kind", dest="gen", metavar="KIND", required=True,
+                       help=kinds)
+    _add_generator_arguments(p_gen)
     p_gen.add_argument("--emit", action="store_true",
                        help="write the distribution JSON to stdout "
                             "(otherwise print a one-line summary)")
@@ -288,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_measures(args: argparse.Namespace, *, include_spectrum: bool) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    """``measures`` and ``spectrum``."""
     config = _config_from_args(args)
-    dist, descriptor, mapping = _resolve_input(args, config)
     report = _run_report(
-        dist, descriptor,
-        include_spectrum=include_spectrum,
-        alphabet_mapping=mapping,
+        *_load_input(_spec_from_args(args), args.input, args.format,
+                     args.normalize, config),
+        include_spectrum=args.command == "spectrum",
     )
     _emit_report(report, args.output, sys.stdout)
     return 0
@@ -302,7 +273,7 @@ def _cmd_measures(args: argparse.Namespace, *, include_spectrum: bool) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    spec = _spec_from_args(args, "kind")
+    spec = _spec_from_args(args)
     dist = generate(spec, config)
     if args.emit:
         sys.stdout.write(dumps_distribution(dist))
@@ -319,27 +290,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _batch_item_report(
     item: Mapping, args: argparse.Namespace, config: EstimatorConfig
 ) -> dict:
-    include_spectrum = bool(item.get("spectrum", args.spectrum))
-    if "gen" in item:
-        spec = spec_from_dict(item["gen"])
-        dist = generate(spec, config)
-        descriptor = spec.describe()
-        mapping = None
-    elif "input" in item:
-        dist, descriptor, mapping = _load_file(
-            item["input"],
+    return _run_report(
+        *_load_input(
+            spec_from_dict(item["gen"]) if "gen" in item else None,
+            item.get("input"),
             item.get("format", "auto"),
             bool(item.get("normalize", args.normalize)),
             config,
-        )
-    else:
-        raise InvalidOrderError(
-            "manifest items need either an 'input' path or a 'gen' spec"
-        )
-    return _run_report(
-        dist, descriptor,
-        include_spectrum=include_spectrum,
-        alphabet_mapping=mapping,
+        ),
+        include_spectrum=bool(item.get("spectrum", args.spectrum)),
     )
 
 
@@ -350,27 +309,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not isinstance(manifest, list):
         raise InvalidOrderError("manifest must be a JSON list of items")
 
-    jobs = max(1, args.jobs)
-
-    def run_item(item: Mapping) -> dict:
-        return _batch_item_report(item, args, config)
-
     results: list[dict] = []
     failed = False
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_item, item) for item in manifest]
+    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        futures = [pool.submit(_batch_item_report, item, args, config)
+                   for item in manifest]
         for index, future in enumerate(futures):
             try:
                 results.append(future.result())
             except Exception as exc:  # noqa: BLE001 - reported inline per item
                 failed = True
-                results.append({
-                    "item": index,
-                    "error": {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                    },
-                })
+                error = {"type": type(exc).__name__, "message": str(exc)}
+                results.append({"item": index, "error": error})
     for report in results:
         sys.stdout.write(json.dumps(report))
         sys.stdout.write("\n")
@@ -381,13 +331,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "measures":
-            return _cmd_measures(args, include_spectrum=False)
-        if args.command == "spectrum":
-            return _cmd_measures(args, include_spectrum=True)
         if args.command == "gen":
             return _cmd_gen(args)
-        return _cmd_batch(args)
+        if args.command == "batch":
+            return _cmd_batch(args)
+        return _cmd_report(args)
     except SystemTooSmallError as exc:
         print(f"hoinfo: error: {exc}", file=sys.stderr)
         return 2

@@ -95,10 +95,13 @@ class EstimatorConfig:
     max_dense_states: int = 2**26
 
     def __post_init__(self) -> None:
-        if not self.log_base > 1.0:
-            raise ValueError("log_base must be > 1")
-        if self.normalization_tolerance < 0 or self.zero_tolerance < 0:
-            raise ValueError("tolerances must be >= 0")
+        if not 1.0 < self.log_base < math.inf:
+            raise ValueError(
+                f"log_base must be finite and > 1, got {self.log_base}"
+            )
+        tolerances = (self.normalization_tolerance, self.zero_tolerance)
+        if not all(0.0 <= tol < math.inf for tol in tolerances):
+            raise ValueError(f"tolerances must be finite and >= 0: {tolerances}")
         if self.max_dense_states < 1:
             raise ValueError("max_dense_states must be >= 1")
 
@@ -266,11 +269,14 @@ class JointDistribution:
         return int(np.count_nonzero(self._masses))
 
     def mass(self, state: Sequence[int]) -> float:
-        """Probability mass of one joint state."""
-        s = self._check_state(tuple(int(x) for x in state))
+        """Probability mass of one joint state: a sequence of integers, each
+        inside its alphabet (the state rule of :func:`build_distribution`)."""
+        fault = _state_fault(state, self.cardinalities)
+        if fault is not None:
+            raise fault
         code = 0
-        for digit, card in zip(s, self.cardinalities):
-            code = code * card + digit
+        for digit, card in zip(state, self.cardinalities):
+            code = code * card + int(digit)
         if self._codes is None:
             return float(self._masses[code])
         i = int(np.searchsorted(self._codes, code))
@@ -324,18 +330,6 @@ class JointDistribution:
 
     # -- internals -------------------------------------------------------------
 
-    def _check_state(self, state: State) -> State:
-        if len(state) != self.n_vars:
-            raise StateOutOfRangeError(
-                f"state {state} has arity {len(state)}, expected {self.n_vars}"
-            )
-        for i, (s, c) in enumerate(zip(state, self.cardinalities)):
-            if not 0 <= s < c:
-                raise StateOutOfRangeError(
-                    f"coordinate {i} of state {state} outside [0, {c})"
-                )
-        return state
-
     def _support(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, masses) of the positive masses in ascending code order;
         identical for both representations of the same distribution."""
@@ -357,13 +351,18 @@ def _from_support(
         table[codes] = masses
         return JointDistribution(cards, table, config=cfg)
     positive = masses > 0.0
-    n_support = int(np.count_nonzero(positive))
+    _check_support_size(int(np.count_nonzero(positive)), cfg)
+    return JointDistribution(cards, masses[positive], codes[positive], config=cfg)
+
+
+def _check_support_size(n_support: int, cfg: EstimatorConfig) -> None:
+    """Reject a support of more than ``cfg.max_dense_states`` states; a
+    generator calls this before it builds its support arrays."""
     if n_support > cfg.max_dense_states:
         raise TableTooLargeError(
             f"sparse support of {n_support} states exceeds "
             f"max_dense_states={cfg.max_dense_states}"
         )
-    return JointDistribution(cards, masses[positive], codes[positive], config=cfg)
 
 
 def _is_int_type(kind: type) -> bool:
@@ -423,12 +422,11 @@ def _entry_arrays(
     return digits, masses
 
 
-def _entry_fault(raw_state: object, raw_mass: object, cards: State):
-    """The error for the first rule one entry breaks, or None if it is valid.
+def _state_fault(raw_state: object, cards: State):
+    """The error for the first rule a state breaks, or None if it is valid.
 
     The rules, in the order they are checked: the state is a sequence of
-    integers (not bools), of arity N, each coordinate inside its alphabet;
-    the mass is a real number (not a bool), non-negative and finite.
+    integers (not bools), of arity N, each coordinate inside its alphabet.
     """
     try:
         len(raw_state)
@@ -449,6 +447,17 @@ def _entry_fault(raw_state: object, raw_mass: object, cards: State):
             return StateOutOfRangeError(
                 f"coordinate {i} of state {state} outside [0, {c})"
             )
+    return None
+
+
+def _entry_fault(raw_state: object, raw_mass: object, cards: State):
+    """The error for the first rule one entry breaks, or None if it is valid:
+    the state rules of :func:`_state_fault`, then the mass is a real number
+    (not a bool), non-negative and finite."""
+    fault = _state_fault(raw_state, cards)
+    if fault is not None:
+        return fault
+    state = tuple(map(int, raw_state))
     if not _is_number_type(type(raw_mass)):
         return MalformedInputError(
             f"state {state} has mass {raw_mass!r}, which is not a number"

@@ -26,14 +26,22 @@ from .distribution import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     JointDistribution,
+    _check_support_size,
     _digits,
     _encode,
     _fold,
     _from_support,
+    _is_int_type,
+    _is_number_type,
     build_distribution,  # noqa: F401 -- kept in this module's namespace
     product,
 )
-from .errors import EmptyInputError, InvalidOrderError, TableTooLargeError
+from .errors import (
+    EmptyInputError,
+    InvalidOrderError,
+    MalformedInputError,
+    TableTooLargeError,
+)
 
 GENERATOR_KINDS = (
     "giant_bit",
@@ -42,6 +50,13 @@ GENERATOR_KINDS = (
     "random_dirichlet_like",
     "point_mass",
 )
+
+# Every accepted spelling of a kind: its name with "_" or "-", plus "random".
+GENERATOR_KIND_ALIASES = {
+    spelling: kind
+    for kind in GENERATOR_KINDS
+    for spelling in (kind, kind.replace("_", "-"))
+} | {"random": "random_dirichlet_like"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,26 +121,54 @@ class GeneratorSpec:
         return out
 
 
+# The value keys of a spec and the type test of each.
+_SPEC_VALUE_TYPES = dict.fromkeys(
+    ("order", "alphabet", "n_vars", "seed"), _is_int_type
+) | {"concentration": _is_number_type}
+
+
 def spec_from_dict(obj: Mapping) -> GeneratorSpec:
-    """Build a GeneratorSpec from its JSON object form."""
+    """Build a GeneratorSpec from its JSON object form.
+
+    This is the one reader of generator specs from outside input: manifest
+    items and the command-line flags both come through here. ``kind`` may
+    be any spelling in :data:`GENERATOR_KIND_ALIASES`. ``order``,
+    ``alphabet``, ``n_vars`` and ``seed`` must be integers and
+    ``concentration`` a number (bools are neither); ``null`` leaves a value
+    at its default. Nothing is coerced: a value of the wrong type, or a
+    spec or component that is not an object, raises
+    :class:`MalformedInputError`.
+    """
+    if not isinstance(obj, Mapping):
+        raise MalformedInputError(f"generator spec must be an object: {obj!r}")
     if "kind" not in obj:
         raise InvalidOrderError("generator spec is missing 'kind'")
-    known = {"kind", "order", "alphabet", "n_vars", "seed", "concentration",
-             "components"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {"kind", "components", *_SPEC_VALUE_TYPES}
     if unknown:
         raise InvalidOrderError(f"unknown generator spec keys: {sorted(unknown)}")
-    components = tuple(
-        spec_from_dict(c) for c in obj.get("components", ())
-    )
+    kind = GENERATOR_KIND_ALIASES.get(str(obj["kind"]))
+    if kind is None:
+        raise InvalidOrderError(
+            f"unknown generator kind {obj['kind']!r}; expected one of "
+            f"{sorted(GENERATOR_KIND_ALIASES)}"
+        )
+    values = {key: obj[key] for key in _SPEC_VALUE_TYPES if obj.get(key) is not None}
+    for key, value in values.items():
+        if not _SPEC_VALUE_TYPES[key](type(value)):
+            raise MalformedInputError(
+                f"generator spec {key!r} must be "
+                f"{'a number' if key == 'concentration' else 'an integer'}, "
+                f"got {value!r}"
+            )
+    if "concentration" in values:
+        values["concentration"] = float(values["concentration"])
+    components = obj.get("components") or ()
+    if not isinstance(components, (list, tuple)):
+        raise MalformedInputError(
+            f"generator spec 'components' must be a list: {components!r}"
+        )
     return GeneratorSpec(
-        kind=str(obj["kind"]),
-        order=None if obj.get("order") is None else int(obj["order"]),
-        alphabet=int(obj.get("alphabet", 2)),
-        n_vars=None if obj.get("n_vars") is None else int(obj["n_vars"]),
-        seed=None if obj.get("seed") is None else int(obj["seed"]),
-        concentration=float(obj.get("concentration", 1.0)),
-        components=components,
+        kind=kind, components=tuple(map(spec_from_dict, components)), **values
     )
 
 
@@ -142,6 +185,7 @@ def giant_bit(
     if alphabet < 2:
         raise InvalidOrderError(f"giant bit needs alphabet >= 2, got {alphabet}")
     cfg = config if config is not None else DEFAULT_CONFIG
+    _check_support_size(alphabet, cfg)
     cards = (alphabet,) * order
     codes = _encode([np.arange(alphabet)] * order, cards)
     return _from_support(cards, codes, np.full(alphabet, 1.0 / alphabet), cfg)
@@ -163,6 +207,7 @@ def parity(
         raise InvalidOrderError(f"parity needs alphabet >= 2, got {alphabet}")
     cfg = config if config is not None else DEFAULT_CONFIG
     n_inputs = alphabet ** (order - 1)
+    _check_support_size(n_inputs, cfg)
     inputs = np.arange(n_inputs)
     check = sum(_digits(inputs, (alphabet,) * (order - 1))) % alphabet
     codes = _encode([inputs, check], (n_inputs, alphabet))

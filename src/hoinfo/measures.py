@@ -182,6 +182,12 @@ def delta_k(dist: JointDistribution, k: int) -> float:
     entirely of order-k synergistic interactions the value is 0; positive
     values indicate interactions of order above k dominate, negative
     values that lower orders dominate. Any integer k is accepted.
+
+    Sign convention: the source paper's abstract words it the other way
+    round (Delta^k < 0 read as domination by orders above k). This code
+    reads Delta^k > 0 that way, which agrees with Delta^0 = S >= 0 and with
+    the closed form Delta^k = (N-k)*log2(a) of an N-variable parity over
+    alphabet a, e.g. (4, 3, 2, 1, 0) bits for parity(4).
     """
     r = measure_report(dist)
     return r.s_information - k * r.total_correlation

@@ -66,6 +66,13 @@ def compute_spectrum(dist: JointDistribution) -> SpectrumResult:
 
     The distribution's config supplies the measure values and the
     zero_tolerance used for order and crossing determination.
+
+    Sign convention: delta[k] > 0 is read as "interactions of order above k
+    dominate", the reverse of the wording of the source paper's abstract
+    (which puts that reading on delta[k] < 0). This reading agrees with
+    delta[0] = S >= 0 and with the closed forms: parity(N, a) has
+    delta[k] = (N-k)*log2(a), so parity(4) gives delta = (4, 3, 2, 1, 0),
+    and giant_bit(N, a) has gamma[k] = (N-k)*log2(a).
     """
     measures = measure_report(dist)
     s = measures.s_information

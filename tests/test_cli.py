@@ -470,3 +470,233 @@ def test_gen_unknown_kind_lists_spellings(capsys):
         "'point_mass', 'random', 'random-dirichlet-like', "
         "'random_dirichlet_like']\n"
     )
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--base", "inf"), ("--base", "nan"),
+    ("--tolerance", "inf"), ("--tolerance", "nan"),
+])
+@pytest.mark.parametrize("command", ["measures", "spectrum"])
+def test_non_finite_config_flags_exit_1(capsys, command, flag, value):
+    code, out, err = run_cli(
+        capsys, [command, "--gen", "parity", "--order", "3", flag, value])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hoinfo: error: ") and "finite" in err
+
+
+# Each CLI spelling with flags that make a valid system of that kind.
+CLI_SPECS = {
+    "giant-bit": {"order": 3, "alphabet": 3},
+    "giant_bit": {"order": 2},
+    "parity": {"order": 4},
+    "point-mass": {"n_vars": 3},
+    "point_mass": {"n_vars": 2, "alphabet": 3},
+    "random": {"n_vars": 3, "seed": 5},
+    "random-dirichlet-like": {"n_vars": 2, "alphabet": 3, "seed": 1,
+                              "concentration": 0.5},
+    "random_dirichlet_like": {"n_vars": 4, "seed": 9, "concentration": 3.0},
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(CLI_SPECS))
+def test_flags_and_manifest_give_equal_reports(tmp_path, capsys, spelling):
+    values = CLI_SPECS[spelling]
+    flags = [arg for key, value in values.items()
+             for arg in (f"--{key.replace('_', '-')}", str(value))]
+    code, out, _ = run_cli(capsys, ["spectrum", "--gen", spelling, *flags])
+    assert code == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        [{"gen": {"kind": spelling, **values}, "spectrum": True}]))
+    code, line, _ = run_cli(capsys, ["batch", str(manifest)])
+    assert code == 0
+    assert json.loads(line) == json.loads(out)
+
+
+def batch_errors(tmp_path, capsys, items):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(items))
+    code, out, _ = run_cli(capsys, ["batch", str(manifest)])
+    assert code == 1
+    return [json.loads(line).get("error") for line in out.splitlines()]
+
+
+def test_manifest_item_with_input_and_gen_is_an_error(tmp_path, capsys):
+    code, emitted, _ = run_cli(
+        capsys, ["gen", "--kind", "parity", "--order", "3", "--emit"])
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(emitted)
+    errors = batch_errors(tmp_path, capsys, [
+        {"input": str(dist_path), "gen": {"kind": "giant_bit", "order": 2}},
+        {},
+        {"input": str(dist_path)},
+    ])
+    for error in errors[:2]:
+        assert error["type"] == "InvalidOrderError"
+        assert "not both" in error["message"]
+    assert errors[2] is None
+
+
+@pytest.mark.parametrize("gen", [
+    {"kind": "parity", "order": 3.9},
+    {"kind": "parity", "order": "3"},
+    {"kind": "parity", "order": 3, "alphabet": True},
+    {"kind": "random", "n_vars": 2, "seed": 2.5},
+    {"kind": "random", "n_vars": 2, "seed": 1, "concentration": "2"},
+    5,
+    {"kind": "independent_product", "components": [{"kind": "parity",
+                                                    "order": 3}, 5]},
+])
+def test_manifest_spec_of_wrong_type_is_an_error(tmp_path, capsys, gen):
+    [error] = batch_errors(tmp_path, capsys, [{"gen": gen}])
+    assert error["type"] == "MalformedInputError"
+
+
+def test_measures_and_spectrum_do_not_go_through_batch(capsys, monkeypatch):
+    import hoinfo.cli
+
+    def fail(*args):
+        raise AssertionError("_batch_item_report called")
+
+    monkeypatch.setattr(hoinfo.cli, "_batch_item_report", fail)
+    for command in ("measures", "spectrum"):
+        code, _, _ = run_cli(
+            capsys, [command, "--gen", "parity", "--order", "3"])
+        assert code == 0
+
+
+# Report bytes of `--output csv`, as written before the CSV rows were
+# derived from the JSON report.
+GOLDEN_CSV_MEASURES = """\
+field,value
+tool,hoinfo
+version,0.1.0
+input_descriptor,gen:parity(order=3, alphabet=2)
+n_vars,3
+cardinalities,2 2 2
+log_base,2.0
+normalization_tolerance,1e-09
+zero_tolerance,1e-09
+joint_entropy,2.0
+total_correlation,1.0
+dual_total_correlation,2.0
+s_information,3.0
+o_information,-1.0
+"""
+
+GOLDEN_CSV_SPECTRUM = """\
+field,value
+tool,hoinfo
+version,0.1.0
+input_descriptor,gen:random_dirichlet_like(n_vars=3, alphabet=2, seed=5, \
+concentration=1.0)
+n_vars,3
+cardinalities,2 2 2
+log_base,2.0
+normalization_tolerance,1e-09
+zero_tolerance,1e-09
+joint_entropy,2.824926692535345
+total_correlation,0.07474844093104549
+dual_total_correlation,0.07413192700355786
+s_information,0.1488803679346029
+o_information,0.0006165139274876275
+delta_0,0.1488803679346029
+delta_1,0.07413192700355742
+delta_2,-0.0006165139274880715
+delta_3,-0.07536495485853356
+gamma_0,0.1488803679346029
+gamma_1,0.07474844093104505
+gamma_2,0.0006165139274871834
+gamma_3,-0.07351541307607068
+synergy_order,2
+redundancy_order,3
+delta_crossing,1.991752150013981
+gamma_crossing,2.0083164427582947
+"""
+
+GOLDEN_CSV_POINT_MASS = """\
+field,value
+tool,hoinfo
+version,0.1.0
+input_descriptor,gen:point_mass(n_vars=2, alphabet=2)
+n_vars,2
+cardinalities,2 2
+log_base,2.0
+normalization_tolerance,1e-09
+zero_tolerance,1e-09
+joint_entropy,0.0
+total_correlation,0.0
+dual_total_correlation,0.0
+s_information,0.0
+o_information,0.0
+delta_0,0.0
+delta_1,0.0
+delta_2,0.0
+gamma_0,0.0
+gamma_1,0.0
+gamma_2,0.0
+synergy_order,
+redundancy_order,
+delta_crossing,
+gamma_crossing,
+"""
+
+SAMPLES_WITH_STRING_COLUMN = (
+    "color,x,y\nred,0,1\nblue,1,1\nred,1,0\ngreen,0,0\nblue,0,0\nred,1,1\n"
+)
+
+GOLDEN_CSV_SAMPLES_SPECTRUM = """\
+field,value
+tool,hoinfo
+version,0.1.0
+input_descriptor,stdin
+n_vars,3
+cardinalities,3 2 2
+log_base,2.0
+normalization_tolerance,1e-09
+zero_tolerance,1e-09
+joint_entropy,2.584962500721156
+total_correlation,0.8741854163060889
+dual_total_correlation,1.2516291673878226
+s_information,2.125814583693911
+o_information,-0.37744375108173367
+delta_0,2.125814583693911
+delta_1,1.2516291673878222
+delta_2,0.3774437510817332
+delta_3,-0.4967416652243557
+gamma_0,2.125814583693911
+gamma_1,0.8741854163060885
+gamma_2,-0.3774437510817341
+gamma_3,-1.6290729184695567
+synergy_order,3
+redundancy_order,2
+delta_crossing,2.431766240938495
+gamma_crossing,1.6984380350695507
+"""
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["measures", "--gen", "parity", "--order", "3"], GOLDEN_CSV_MEASURES),
+    (["spectrum", "--gen", "random", "--n-vars", "3", "--seed", "5"],
+     GOLDEN_CSV_SPECTRUM),
+    (["spectrum", "--gen", "point-mass", "--n-vars", "2"],
+     GOLDEN_CSV_POINT_MASS),
+])
+def test_csv_report_bytes(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, [*argv, "--output", "csv"])
+    assert code == 0
+    assert out == golden
+
+
+def test_csv_report_bytes_of_samples_with_a_string_column(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SAMPLES_WITH_STRING_COLUMN))
+    code, out, _ = run_cli(
+        capsys, ["spectrum", "--input", "-", "--output", "csv"])
+    assert code == 0
+    assert out == GOLDEN_CSV_SAMPLES_SPECTRUM
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SAMPLES_WITH_STRING_COLUMN))
+    code, out, _ = run_cli(capsys, ["measures", "--input", "-"])
+    assert json.loads(out)["alphabet_mapping"] == {
+        "color": ["blue", "green", "red"], "x": [0, 1], "y": [0, 1]}

@@ -10,6 +10,7 @@ from hoinfo import (
     EmptySubsetError,
     EstimatorConfig,
     IndexOutOfRangeError,
+    MalformedInputError,
     NegativeMassError,
     NonFiniteMassError,
     NotNormalizedError,
@@ -27,6 +28,7 @@ from hoinfo import (
     marginalize,
     measure_report,
     o_information,
+    parity,
     point_mass,
     product,
     random_distribution,
@@ -132,6 +134,35 @@ def test_config_validation():
         EstimatorConfig(log_base=1.0)
     with pytest.raises(ValueError):
         EstimatorConfig(zero_tolerance=-1e-9)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("log_base", math.inf),
+    ("log_base", math.nan),
+    ("normalization_tolerance", math.inf),
+    ("normalization_tolerance", math.nan),
+    ("zero_tolerance", math.inf),
+    ("zero_tolerance", math.nan),
+])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        EstimatorConfig(**{field: value})
+
+
+def test_mass_checks_its_state_as_the_loader_does():
+    d = parity(2)
+    assert d.mass((0, 0)) == 0.5
+    assert d.mass([1, 1]) == 0.5
+    assert d.mass(np.array([1, 0])) == 0.0
+    for bad in ((0.7, 0.2), (0, True), ("0", "1"), 5):
+        with pytest.raises(MalformedInputError):
+            d.mass(bad)
+    with pytest.raises(StateOutOfRangeError, match="arity"):
+        d.mass((0,))
+    with pytest.raises(StateOutOfRangeError, match="outside"):
+        d.mass((0, 2))
+    with pytest.raises(StateOutOfRangeError, match="outside"):
+        d.mass((-1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hoinfo import (
     EstimatorConfig,
     GeneratorSpec,
     InvalidOrderError,
+    MalformedInputError,
     TableTooLargeError,
     compose_independent,
     delta_k,
@@ -320,3 +322,64 @@ def test_spec_from_dict_rejects_unknown_keys():
         spec_from_dict({"kind": "parity", "order": 3, "frobnicate": 1})
     with pytest.raises(InvalidOrderError):
         spec_from_dict({"order": 3})
+
+
+@pytest.mark.parametrize("make,args", [
+    (parity, (21,)),
+    (parity, (12, 4)),
+    (giant_bit, (2, 2**20)),
+])
+def test_gadget_over_cap_fails_before_allocating(make, args):
+    cfg = EstimatorConfig(max_dense_states=2**10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLargeError, match="sparse support of"):
+            make(*args, config=cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_gadget_at_cap_is_built():
+    cfg = EstimatorConfig(max_dense_states=2**10)
+    assert parity(11, config=cfg).support_size == 2**10
+    assert giant_bit(3, 2**10, config=cfg).support_size == 2**10
+
+
+def test_spec_from_dict_accepts_every_kind_spelling():
+    for spelling, kind in {"random": "random_dirichlet_like",
+                           "giant-bit": "giant_bit",
+                           "point-mass": "point_mass",
+                           "independent-product": "independent_product",
+                           "parity": "parity"}.items():
+        assert spec_from_dict({"kind": spelling}).kind == kind
+    with pytest.raises(InvalidOrderError, match="unknown generator kind"):
+        spec_from_dict({"kind": "xor"})
+
+
+@pytest.mark.parametrize("obj", [
+    5,
+    [{"kind": "parity"}],
+    {"kind": "parity", "order": 3.9},
+    {"kind": "parity", "order": "3"},
+    {"kind": "parity", "order": True},
+    {"kind": "parity", "order": 3, "alphabet": 2.0},
+    {"kind": "random", "n_vars": 2, "seed": 2.5},
+    {"kind": "random", "n_vars": 2, "seed": 1, "concentration": "1"},
+    {"kind": "random", "n_vars": 2, "seed": 1, "concentration": False},
+    {"kind": "independent_product", "components": [5]},
+    {"kind": "independent_product", "components": {"kind": "parity"}},
+])
+def test_spec_from_dict_rejects_wrong_types(obj):
+    with pytest.raises(MalformedInputError):
+        spec_from_dict(obj)
+
+
+def test_spec_from_dict_keeps_values_exact():
+    spec = spec_from_dict({"kind": "random", "n_vars": 3, "seed": 4,
+                           "concentration": 2, "order": None})
+    assert spec == GeneratorSpec(kind="random_dirichlet_like", n_vars=3,
+                                 seed=4, concentration=2.0)
+    assert spec.describe() == ("gen:random_dirichlet_like(n_vars=3, "
+                               "alphabet=2, seed=4, concentration=2.0)")

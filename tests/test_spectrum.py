@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import support
@@ -136,3 +138,25 @@ def test_spectrum_carries_the_measure_report_it_was_computed_from(suite50):
         sp = compute_spectrum(d)
         assert sp.measures == measure_report(d)
         assert sp.delta[1] == sp.measures.s_information - sp.measures.total_correlation
+
+
+# Sign convention: delta[k] > 0 reads "orders above k dominate" (the
+# abstract words it the other way round). The closed forms pin it.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("a", [2, 3])
+def test_parity_delta_closed_form_at_every_k(n, a):
+    sp = compute_spectrum(parity(n, a))
+    assert len(sp.delta) == n + 1
+    for k, value in enumerate(sp.delta):
+        assert value == pytest.approx((n - k) * math.log2(a), abs=1e-9)
+        assert delta_k(parity(n, a), k) == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("a", [2, 3])
+def test_giant_bit_gamma_closed_form_at_every_k(n, a):
+    sp = compute_spectrum(giant_bit(n, a))
+    assert len(sp.gamma) == n + 1
+    for k, value in enumerate(sp.gamma):
+        assert value == pytest.approx((n - k) * math.log2(a), abs=1e-9)
+        assert gamma_k(giant_bit(n, a), k) == pytest.approx(value, abs=1e-9)
