@@ -22,10 +22,15 @@ from . import __version__
 from .distribution import (
     EstimatorConfig,
     JointDistribution,
-    estimate_from_samples,
-    infer_alphabets,
+    _estimate_with_alphabets,
+    estimate_from_samples,  # noqa: F401 - perfbench/traced.py wraps this name
 )
-from .errors import HoinfoError, InvalidOrderError, SystemTooSmallError
+from .errors import (
+    HoinfoError,
+    InvalidOrderError,
+    MalformedInputError,
+    SystemTooSmallError,
+)
 from .fileio import (
     FORMAT_DIST_JSON,
     FORMAT_SAMPLES_CSV,
@@ -101,8 +106,8 @@ def _load_input(
         return loads_distribution(text, config, renormalize=normalize), descriptor, None
     if fmt == FORMAT_SAMPLES_CSV:
         names, rows = parse_samples_csv(text)
-        mapping = dict(zip(names, infer_alphabets(rows)))
-        return estimate_from_samples(rows, config), descriptor, mapping
+        dist, alphabets = _estimate_with_alphabets(rows, config)
+        return dist, descriptor, dict(zip(names, alphabets))
     raise InvalidOrderError(f"unknown input format {fmt!r}")
 
 
@@ -287,9 +292,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# The keys a manifest item may have.
+_ITEM_KEYS = ("gen", "input", "format", "normalize", "spectrum")
+
+
 def _batch_item_report(
     item: Mapping, args: argparse.Namespace, config: EstimatorConfig
 ) -> dict:
+    if not isinstance(item, Mapping):
+        raise MalformedInputError(
+            f"manifest item must be a JSON object, got {item!r}"
+        )
+    unknown = set(item) - set(_ITEM_KEYS)
+    if unknown:
+        raise MalformedInputError(
+            f"unknown manifest item keys: {sorted(unknown)}; "
+            f"expected some of {list(_ITEM_KEYS)}"
+        )
     return _run_report(
         *_load_input(
             spec_from_dict(item["gen"]) if "gen" in item else None,

@@ -34,7 +34,21 @@ state's mass is the same left fold over its cells in ascending order.
 A sparse marginal, and the summing of duplicate entries at construction,
 uses ``np.bincount``, which adds each mass into its target state's
 accumulator, from 0.0, in input order: ascending code order for a
-marginal, the caller's order for duplicates.
+marginal, the caller's order for duplicates. A sparse marginal's codes are
+computed from the runs of consecutive kept variables; they are the same
+integers as re-encoding the kept digits.
+
+The entropy profile of a distribution (H(X), every H(X_i) and every
+H(X^{-i})) has two private kernels; direct :func:`marginalize` calls are
+unchanged by them. The singles are the entropies of the leaves of a
+halving tree of :func:`marginalize` calls (the first half of the
+variables, then the second, recursively), the same calls in both
+representations; so they can differ in the last bits from the entropy of
+a direct one-variable marginal. The leave-one-out entropies of a dense
+table are folded block by block without materializing the marginal; each
+block is built and folded in exactly the order of :func:`_marginal_table`
+and :func:`entropy`, so they have the bits of
+``entropy(leave_one_out(dist, i))``.
 """
 
 from __future__ import annotations
@@ -68,6 +82,10 @@ VariableSubset = tuple[int, ...]
 
 # Elements per np.add.accumulate chunk; bounds transient memory of a fold.
 _FOLD_CHUNK = 1 << 20
+
+# Kept states per block of the fused leave-one-out entropy kernel; sized so
+# a block and its terms stay in cache.
+_PROFILE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +148,36 @@ def _digits(codes: np.ndarray, cards: Sequence[int]) -> list[np.ndarray]:
         digits.append(codes % card)
         codes = codes // card
     return digits[::-1]
+
+
+def _kept_codes(
+    codes: np.ndarray, cards: Sequence[int], kept: VariableSubset
+) -> np.ndarray:
+    """Row-major codes over the ``kept`` variables of the states ``codes``;
+    the same integers, in the same dtype, as ``_encode`` of their kept
+    ``_digits``. Each maximal run ``[a, b)`` of consecutive kept variables
+    is one ``//`` and one ``%``, Horner-combined across runs."""
+    dtype = _code_dtype([cards[i] for i in kept])
+    out = None
+    for a, b in _runs(kept):
+        width, stride = math.prod(cards[a:b]), math.prod(cards[b:])
+        run = codes // stride if stride > 1 else codes
+        if a > 0:
+            run = run % width
+        run = run.astype(dtype, copy=False)
+        out = run if out is None else out * width + run
+    return out
+
+
+def _runs(kept: VariableSubset) -> list[tuple[int, int]]:
+    """Maximal runs ``[a, b)`` of consecutive indices in ``kept``."""
+    runs = []
+    for i in kept:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return [(a, b) for a, b in runs]
 
 
 def _row_major_chunks(values: np.ndarray) -> Iterator[np.ndarray]:
@@ -563,9 +611,8 @@ def marginalize(dist: JointDistribution, keep: Iterable[int]) -> JointDistributi
         folded = _marginal_table(table, kept, dropped).reshape(-1)
         return JointDistribution(new_cards, folded, config=dist.config)
 
-    digits = _digits(dist._codes, dist.cardinalities)
     codes, inverse = np.unique(
-        _encode([digits[i] for i in kept], new_cards), return_inverse=True
+        _kept_codes(dist._codes, dist.cardinalities, kept), return_inverse=True
     )
     masses = np.bincount(inverse, weights=dist._masses, minlength=codes.size)
     return JointDistribution(new_cards, masses, codes, config=dist.config)
@@ -633,6 +680,74 @@ def entropy(dist: JointDistribution) -> float:
     return 0.0 - _fold(terms) / math.log2(dist.config.log_base)
 
 
+def _single_entropies(dist: JointDistribution) -> tuple[float, ...]:
+    """H(X_i) for every variable, in index order, from a halving tree.
+
+    The tree marginalizes onto the variables ``[0, n//2)`` and
+    ``[n//2, n)``, recurses into each half and takes :func:`entropy` at
+    each one-variable leaf: about two passes over the table instead of N.
+    Both representations make the same sequence of :func:`marginalize`
+    calls, so they agree bit for bit.
+    """
+    if dist.n_vars == 1:
+        return (entropy(dist),)
+    half = dist.n_vars // 2
+    return (_single_entropies(marginalize(dist, range(half)))
+            + _single_entropies(marginalize(dist, range(half, dist.n_vars))))
+
+
+def _leave_one_out_entropies(dist: JointDistribution) -> tuple[float, ...]:
+    """H(X^{-i}) for every variable, in index order; each has the bits of
+    ``entropy(leave_one_out(dist, i))``.
+
+    A dense table is viewed as ``(outer, c_i, inner)`` and each marginal is
+    built in blocks of about ``_PROFILE_BLOCK`` kept states, in ascending
+    kept order: a block starts at 0.0 and adds one slice per state of
+    variable i in ascending order, exactly as :func:`_marginal_table` does.
+    Its positive cells' p*log2(p) terms are folded into a running sum with
+    the carry of :func:`_fold`. No marginal is materialized. A sparse table,
+    or a variable with more states than the marginal has, takes
+    ``entropy(leave_one_out(dist, i))`` itself. Requires N >= 2.
+    """
+    cards = dist.cardinalities
+    out = []
+    for i, card in enumerate(cards):
+        outer, inner = math.prod(cards[:i]), math.prod(cards[i + 1:])
+        if dist._codes is not None or card > outer * inner:
+            out.append(entropy(leave_one_out(dist, i)))
+            continue
+        view = dist._masses.reshape(outer, card, inner)
+        acc = 0.0
+        for rows, cols in _kept_blocks(outer, inner):
+            part = view[rows, :, cols]
+            blk = np.zeros((part.shape[0], part.shape[2]), dtype=np.float64)
+            for d in range(card):
+                blk += part[:, d, :]
+            p = blk[blk > 0.0]
+            if p.size == 0:
+                continue
+            terms = np.log2(p)
+            terms *= p
+            terms[0] = acc + terms[0]
+            np.add.accumulate(terms, out=terms)
+            acc = float(terms[-1])
+        out.append(0.0 - acc / math.log2(dist.config.log_base))
+    return tuple(out)
+
+
+def _kept_blocks(outer: int, inner: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, columns) slices that cover an ``(outer, inner)`` array in
+    row-major order, each of at most ``_PROFILE_BLOCK`` cells."""
+    if inner >= _PROFILE_BLOCK:
+        for row in range(outer):
+            for start in range(0, inner, _PROFILE_BLOCK):
+                yield slice(row, row + 1), slice(start, start + _PROFILE_BLOCK)
+        return
+    rows = _PROFILE_BLOCK // inner
+    for start in range(0, outer, rows):
+        yield slice(start, start + rows), slice(None)
+
+
 def _sample_columns(rows: Iterable[Sequence[object]]) -> list[tuple]:
     """The columns of sample rows, which must all have one arity."""
     rows = list(rows)
@@ -654,9 +769,11 @@ def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:
 
     Sorting (rather than first-seen order) keeps the symbol-to-index mapping
     invariant under row permutations. Symbols within one column must be
-    mutually comparable.
+    mutually comparable. These are the alphabets
+    :func:`estimate_from_samples` indexes by; they are read from the same
+    computation, so the estimate is built as well.
     """
-    return [sorted(set(column)) for column in _sample_columns(rows)]
+    return _estimate_with_alphabets(rows, DEFAULT_CONFIG)[1]
 
 
 def estimate_from_samples(
@@ -670,13 +787,22 @@ def estimate_from_samples(
     order. No bias correction is applied.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
+    return _estimate_with_alphabets(rows, cfg)[0]
+
+
+def _estimate_with_alphabets(
+    rows: Sequence[Sequence[object]], cfg: EstimatorConfig
+) -> tuple[JointDistribution, list[list[object]]]:
+    """The plug-in estimate of sample rows and the sorted alphabet of each
+    column, which it indexes by; every column is sorted once."""
     columns = _sample_columns(rows)
     n_rows = len(columns[0])
-    digits, cards = [], []
+    digits, alphabets = [], []
     for column in columns:
         alphabet = sorted(set(column))
         index = {symbol: i for i, symbol in enumerate(alphabet)}
         digits.append(np.fromiter(map(index.__getitem__, column), np.int64, n_rows))
-        cards.append(len(alphabet))
+        alphabets.append(alphabet)
+    cards = tuple(map(len, alphabets))
     codes, counts = np.unique(_encode(digits, cards), return_counts=True)
-    return _from_support(tuple(cards), codes, counts / n_rows, cfg)
+    return _from_support(cards, codes, counts / n_rows, cfg), alphabets

@@ -11,8 +11,10 @@ the two k-parameterized whole-minus-sum families built from them:
 
 Both families are affine in k, so each needs only one computation of S, T,
 and D. :func:`measure_report` is the one place that builds the 2N+1
-entropies H(X), H(X_i) and H(X^{-i}); every other multivariate measure here
-is a read of its result.
+entropies H(X), H(X_i) and H(X^{-i}), from the profile kernels of
+:mod:`hoinfo.distribution`; every other multivariate measure here is a
+read of its result, except :func:`total_correlation`, which reads the
+same singles kernel.
 
 All results are in units of ``dist.config.log_base`` (bits by default).
 Sums over variable indices accumulate in ascending index order, so results
@@ -27,6 +29,8 @@ from typing import Callable, Iterable
 
 from .distribution import (
     JointDistribution,
+    _leave_one_out_entropies,
+    _single_entropies,
     as_subset,
     entropy,
     leave_one_out,
@@ -86,16 +90,15 @@ def _tc_from(h_joint: float, singles: Iterable[float]) -> float:
 def measure_report(dist: JointDistribution) -> MeasureReport:
     """All five scalar measures from one pass over the 2N+1 entropies.
 
-    The pass computes H(X), every H(X_i) and every H(X^{-i}); it is the
-    only code that builds them, and the other multivariate measures in
-    this module read its result.
+    The pass computes H(X), every H(X_i) from a halving tree of marginals
+    and every H(X^{-i}) from a fused, blocked fold; it is the only code
+    that builds them all, and the other multivariate measures in this
+    module read its result.
     """
     _require_multivariate(dist)
     h_joint = entropy(dist)
-    singles = tuple(
-        entropy(marginalize(dist, (i,))) for i in range(dist.n_vars)
-    )
-    loo = tuple(entropy(leave_one_out(dist, i)) for i in range(dist.n_vars))
+    singles = _single_entropies(dist)
+    loo = _leave_one_out_entropies(dist)
     t = _tc_from(h_joint, singles)
     # D = H(X) - sum_i H(X_i | X^{-i}), with H(X_i | X^{-i}) = H(X) - H(X^{-i})
     acc = 0.0
@@ -140,12 +143,10 @@ def total_correlation(dist: JointDistribution) -> float:
 
     Zero exactly when all variables are independent; bounded above by
     (N-1) * max_i H(X_i). Defined for N >= 1 (trivially 0 for N = 1).
+    Reads the singles kernel of :func:`measure_report`, so the two agree
+    bit for bit.
     """
-    h_joint = entropy(dist)
-    singles = (
-        entropy(marginalize(dist, (i,))) for i in range(dist.n_vars)
-    )
-    return _tc_from(h_joint, singles)
+    return _tc_from(entropy(dist), _single_entropies(dist))
 
 
 def dual_total_correlation(dist: JointDistribution) -> float:

@@ -391,21 +391,28 @@ def test_spectrum_builds_the_entropy_profile_once(capsys, monkeypatch):
     import hoinfo.measures
 
     calls = []
-    real_entropy = hoinfo.measures.entropy
 
-    def counting_entropy(dist):
-        calls.append(dist.n_vars)
-        return real_entropy(dist)
+    def counting(name):
+        real = getattr(hoinfo.measures, name)
 
-    monkeypatch.setattr(hoinfo.measures, "entropy", counting_entropy)
+        def counted(dist):
+            result = real(dist)
+            calls.append((name, dist.n_vars, result))
+            return result
+        monkeypatch.setattr(hoinfo.measures, name, counted)
+
+    for name in ("entropy", "_single_entropies", "_leave_one_out_entropies"):
+        counting(name)
     code, out, _ = run_cli(
         capsys,
         ["spectrum", "--gen", "random", "--n-vars", "4", "--seed", "5"])
     assert code == 0
     assert json.loads(out)["n_vars"] == 4
-    # H(X), the four H(X_i) and the four H(X^-i): 2N + 1 entropies
-    assert len(calls) == 9
-    assert sorted(calls) == [1, 1, 1, 1, 3, 3, 3, 3, 4]
+    # H(X), then the four H(X_i) and the four H(X^-i) from one call each
+    assert [(name, n) for name, n, _ in calls] == [
+        ("entropy", 4), ("_single_entropies", 4),
+        ("_leave_one_out_entropies", 4)]
+    assert [len(result) for _, _, result in calls[1:]] == [4, 4]
 
 
 def test_batch_rejects_unknown_item_format(tmp_path, capsys):
@@ -514,6 +521,9 @@ def test_flags_and_manifest_give_equal_reports(tmp_path, capsys, spelling):
     assert json.loads(line) == json.loads(out)
 
 
+PARITY3 = {"kind": "parity", "order": 3}
+
+
 def batch_errors(tmp_path, capsys, items):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(items))
@@ -551,6 +561,24 @@ def test_manifest_item_with_input_and_gen_is_an_error(tmp_path, capsys):
 def test_manifest_spec_of_wrong_type_is_an_error(tmp_path, capsys, gen):
     [error] = batch_errors(tmp_path, capsys, [{"gen": gen}])
     assert error["type"] == "MalformedInputError"
+
+
+@pytest.mark.parametrize("item", [5, [1], "input", None])
+def test_manifest_item_that_is_not_an_object_is_an_error(tmp_path, capsys,
+                                                         item):
+    errors = batch_errors(tmp_path, capsys, [item, {"gen": PARITY3}])
+    assert errors[0]["type"] == "MalformedInputError"
+    assert "JSON object" in errors[0]["message"]
+    assert errors[1] is None
+
+
+@pytest.mark.parametrize("key", ["spectrm", "fromat", "jobs"])
+def test_manifest_item_with_unknown_key_is_an_error(tmp_path, capsys, key):
+    errors = batch_errors(tmp_path, capsys, [
+        {"gen": PARITY3, key: True}, {"gen": PARITY3}])
+    assert errors[0]["type"] == "MalformedInputError"
+    assert repr(key) in errors[0]["message"]
+    assert errors[1] is None
 
 
 def test_measures_and_spectrum_do_not_go_through_batch(capsys, monkeypatch):

@@ -1,0 +1,164 @@
+"""The entropy-profile kernels against the primitives they replace.
+
+Property tests over small random tables with size-1 axes and zero cells:
+the fused leave-one-out kernel must give, bit for bit, the entropy of each
+materialized leave-one-out marginal, and every profile entropy must be the
+same for the dense and the sparse representation. Small profile blocks
+drive the blocked path, and blocks of only zero cells, on small tables.
+The run-based sparse marginal codes must equal the digit-based ones, also
+for object codes beyond 2**63 states. A 16-variable table checks every
+profile entropy against a correctly rounded reference.
+"""
+
+import itertools
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+import hoinfo.distribution as distribution
+import support
+from hoinfo import (
+    build_distribution,
+    entropy,
+    giant_bit,
+    leave_one_out,
+    measure_report,
+    total_correlation,
+)
+
+cardinalities = st.lists(
+    st.integers(1, 5), min_size=2, max_size=6
+).filter(lambda cards: math.prod(cards) <= 1024)
+
+BLOCKS = [1, 3, 7, distribution._PROFILE_BLOCK]
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def profile(dist) -> tuple[float, ...]:
+    """All 2N+1 profile entropies: H(X), every H(X_i), every H(X^-i)."""
+    return ((entropy(dist),) + distribution._single_entropies(dist)
+            + distribution._leave_one_out_entropies(dist))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cards=cardinalities,
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+    block=st.sampled_from(BLOCKS),
+)
+@example(cards=[2, 2], seed=0, zero_share=0.3, block=1)
+@example(cards=[1, 3, 1, 2], seed=2, zero_share=0.3, block=3)
+@example(cards=[5, 1, 2], seed=3, zero_share=0.0, block=7)  # c_0 > kept
+def test_dense_kernel_equals_entropy_of_each_marginal(cards, seed, zero_share,
+                                                      block):
+    dense = support.random_table(cards, seed, zero_share)
+    n = len(cards)
+    expected = [entropy(leave_one_out(dense, i)) for i in range(n)]
+    materialized = []
+    real_leave_one_out = distribution.leave_one_out
+
+    def counted(dist, i):
+        materialized.append(i)
+        return real_leave_one_out(dist, i)
+
+    with mock.patch.object(distribution, "_PROFILE_BLOCK", block), \
+            mock.patch.object(distribution, "leave_one_out", counted):
+        got = distribution._leave_one_out_entropies(dense)
+    assert bits(got) == bits(expected)
+    # only a variable with more states than its marginal is materialized
+    assert materialized == [i for i in range(n)
+                            if cards[i] > math.prod(cards) // cards[i]]
+
+
+def test_blocks_of_zero_cells_are_skipped():
+    # H(X^-0) = H(X_1): mass on states 0 and 1 of X_1 only, so with blocks
+    # of 1 or 3 kept states the last blocks hold no positive cell
+    dist = build_distribution([2, 4], [((0, 0), 0.5), ((0, 1), 0.5)])
+    for block in BLOCKS:
+        with mock.patch.object(distribution, "_PROFILE_BLOCK", block):
+            got = distribution._leave_one_out_entropies(dist)
+        assert got == (1.0, 0.0)
+        assert bits(got) == bits([entropy(leave_one_out(dist, i))
+                                  for i in range(2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cards=cardinalities,
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+    block=st.sampled_from(BLOCKS),
+)
+def test_profile_is_the_same_dense_and_sparse(cards, seed, zero_share, block):
+    dense = support.random_table(cards, seed, zero_share)
+    with mock.patch.object(distribution, "_PROFILE_BLOCK", block):
+        got = profile(dense)
+        assert len(got) == 2 * len(cards) + 1
+        assert bits(got) == bits(profile(dense.to_sparse()))
+        assert (total_correlation(dense)
+                == measure_report(dense).total_correlation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cards=cardinalities, seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.5]))
+def test_run_codes_equal_digit_codes(cards, seed, zero_share):
+    sparse = support.random_table(cards, seed, zero_share).to_sparse()
+    assert_run_codes_equal_digit_codes(
+        sparse, [keep for size in range(1, len(cards))
+                 for keep in itertools.combinations(range(len(cards)), size)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(keep=st.sets(st.integers(0, 69), min_size=1, max_size=69))
+@example(keep=set(range(62)))  # 2**62 kept states: int64 from object codes
+@example(keep=set(range(1, 70)))
+def test_run_codes_beyond_int64(keep):
+    dist = giant_bit(70)
+    assert dist._codes.dtype == object
+    assert_run_codes_equal_digit_codes(dist, [tuple(sorted(keep))])
+
+
+def assert_run_codes_equal_digit_codes(sparse, keeps):
+    cards = sparse.cardinalities
+    digits = distribution._digits(sparse._codes, cards)
+    for keep in keeps:
+        got = distribution._kept_codes(sparse._codes, cards, keep)
+        expected = distribution._encode([digits[i] for i in keep],
+                                        [cards[i] for i in keep])
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+
+def fsum_marginal(table: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Marginal over ``keep``, each mass the correctly rounded sum."""
+    dropped = [i for i in range(table.ndim) if i not in keep]
+    cells = np.transpose(table, list(keep) + dropped)
+    rows = cells.reshape(math.prod(table.shape[i] for i in keep), -1)
+    return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+def test_profile_of_a_large_table_is_accurate():
+    n = 16
+    dist = support.random_table((2,) * n, 3, 0.1)
+    table = dist.dense_table()
+    marginals = ([table.reshape(-1)]
+                 + [fsum_marginal(table, (i,)) for i in range(n)]
+                 + [fsum_marginal(table, tuple(j for j in range(n) if j != i))
+                    for i in range(n)])
+    for got, masses in zip(profile(dist), marginals):
+        p = masses[masses > 0.0]
+        terms = p * np.log2(p)
+        reference = -math.fsum(terms)
+        # A marginal mass folded from k cells is off by at most (k-1)u
+        # relative, which moves its term by that much times
+        # |p log2 p| + p/ln 2; folding m terms adds at most (m-1)u sum|t|.
+        # With k*m = 2**n cells, 2**n * u * (sum|t| + 1/ln 2) bounds both.
+        tol = table.size * 2.0**-53 * (math.fsum(np.abs(terms)) + 1 / math.log(2))
+        assert abs(got - reference) <= tol
