@@ -292,8 +292,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-# The keys a manifest item may have.
-_ITEM_KEYS = ("gen", "input", "format", "normalize", "spectrum")
+# The keys a manifest item may have, with the JSON type of each value.
+_ITEM_TYPES = {"gen": Mapping, "input": str, "format": str, "normalize": bool,
+               "spectrum": bool}
 
 
 def _batch_item_report(
@@ -303,21 +304,23 @@ def _batch_item_report(
         raise MalformedInputError(
             f"manifest item must be a JSON object, got {item!r}"
         )
-    unknown = set(item) - set(_ITEM_KEYS)
-    if unknown:
+    wrong = {key: value for key, value in item.items()
+             if not isinstance(value, _ITEM_TYPES.get(key, ()))}
+    if wrong:
         raise MalformedInputError(
-            f"unknown manifest item keys: {sorted(unknown)}; "
-            f"expected some of {list(_ITEM_KEYS)}"
+            f"unknown manifest item keys or values of the wrong type: {wrong}; "
+            f"expected an object for 'gen', strings for 'input' and 'format', "
+            f"and booleans for 'normalize' and 'spectrum'"
         )
     return _run_report(
         *_load_input(
             spec_from_dict(item["gen"]) if "gen" in item else None,
             item.get("input"),
             item.get("format", "auto"),
-            bool(item.get("normalize", args.normalize)),
+            item.get("normalize", args.normalize),
             config,
         ),
-        include_spectrum=bool(item.get("spectrum", args.spectrum)),
+        include_spectrum=item.get("spectrum", args.spectrum),
     )
 
 

@@ -23,36 +23,39 @@ same distribution produce bit-identical marginal masses, entropies, and
 therefore bit-identical measures, and every result is reproducible run to
 run.
 
-A dense marginal is folded from strided views of the table, never a copy
-of it, looping over whichever side of the marginal has fewer states. When
-the dropped variables have no more joint states than the kept ones, one
-accumulator over all kept states, starting at 0.0, takes one slice per
-dropped state in ascending order; otherwise each kept state's cells are
-folded one after another in row-major chunks. Either way every kept
-state's mass is the same left fold over its cells in ascending order.
+Every dense fold and every dense marginal walks the same row-major blocks
+of at most ``_BLOCK`` cells. A dense marginal is folded from strided views
+of the table, never a copy of it: each maximal run of consecutive kept, or
+dropped, variables is first merged into one axis (a free reshape), and the
+loop runs over whichever side of the marginal has fewer states. When the
+dropped variables have no more joint states than the kept ones, each block
+of kept states starts at 0.0 and takes one slice per dropped state in
+ascending order; otherwise each kept state's cells are folded one after
+another. Either way every kept state's mass is the same left fold over its
+cells in ascending order.
 
 A sparse marginal, and the summing of duplicate entries at construction,
 uses ``np.bincount``, which adds each mass into its target state's
 accumulator, from 0.0, in input order: ascending code order for a
 marginal, the caller's order for duplicates. A sparse marginal's codes are
-computed from the runs of consecutive kept variables; they are the same
-integers as re-encoding the kept digits.
+computed from the same runs of consecutive kept variables as the dense
+merge; they are the same integers as re-encoding the kept digits.
 
 The entropy profile of a distribution (H(X), every H(X_i) and every
-H(X^{-i})) has two private kernels; direct :func:`marginalize` calls are
-unchanged by them. The singles are the entropies of the leaves of a
-halving tree of :func:`marginalize` calls (the first half of the
-variables, then the second, recursively), the same calls in both
+H(X^{-i})) reads the one marginal kernel. The singles are the entropies of
+the leaves of a halving tree of :func:`marginalize` calls (the first half
+of the variables, then the second, recursively), the same calls in both
 representations; so they can differ in the last bits from the entropy of
 a direct one-variable marginal. The leave-one-out entropies of a dense
-table are folded block by block without materializing the marginal; each
-block is built and folded in exactly the order of :func:`_marginal_table`
-and :func:`entropy`, so they have the bits of
-``entropy(leave_one_out(dist, i))``.
+table are folded from the blocks of :func:`_marginal_blocks` as they are
+made, without materializing the marginal; :func:`marginalize` writes the
+same blocks and :func:`entropy` folds the same terms in the same order, so
+they have the bits of ``entropy(leave_one_out(dist, i))``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,12 +83,9 @@ State = tuple[int, ...]
 # functions accept any iterable of ints and canonicalize.
 VariableSubset = tuple[int, ...]
 
-# Elements per np.add.accumulate chunk; bounds transient memory of a fold.
-_FOLD_CHUNK = 1 << 20
-
-# Kept states per block of the fused leave-one-out entropy kernel; sized so
-# a block and its terms stay in cache.
-_PROFILE_BLOCK = 1 << 15
+# Cells per block of every dense fold and marginal; sized so a block and its
+# terms stay in cache.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,66 +180,108 @@ def _runs(kept: VariableSubset) -> list[tuple[int, int]]:
     return [(a, b) for a, b in runs]
 
 
-def _row_major_chunks(values: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive views of ``values`` that cover it in row-major order,
-    each of at most ``_FOLD_CHUNK`` cells. Nothing is copied."""
-    shape = values.shape
+def _blocks(shape: Sequence[int]) -> Iterator[tuple]:
+    """Index tuples that cover an array of ``shape`` in row-major order, each
+    selecting at most ``_BLOCK`` cells: whole trailing axes, then a run of
+    rows of the next axis, for each index of the leading axes."""
     split, inner = len(shape), 1
-    while split > 0 and inner * shape[split - 1] <= _FOLD_CHUNK:
+    while split > 0 and inner * shape[split - 1] <= _BLOCK:
         split -= 1
         inner *= shape[split]
     if split == 0:
-        yield values
+        yield ()
         return
-    # axis split-1 is too long to take whole: slice it into runs of rows
-    rows = _FOLD_CHUNK // inner
-    for lead in np.ndindex(shape[: split - 1]):
-        block = values[lead]
+    rows = _BLOCK // inner
+    for lead in itertools.product(*map(range, shape[: split - 1])):
         for start in range(0, shape[split - 1], rows):
-            yield block[start : start + rows]
+            yield lead + (slice(start, start + rows),)
 
 
-def _fold(values: np.ndarray) -> float:
-    """Strict left-to-right sum of the cells of ``values`` in row-major order.
+def _carry(seg: np.ndarray, acc: float) -> float:
+    """Fold the private, contiguous, non-empty 1-D ``seg`` into ``acc``, in
+    place: its first cell absorbs the running sum, and np.add.accumulate is
+    defined by the sequential recurrence r[i] = r[i-1] + x[i], so its last
+    cell is exactly the left fold so far."""
+    seg[0] = acc + seg[0]
+    np.add.accumulate(seg, out=seg)
+    return float(seg[-1])
 
-    Each chunk is copied into a contiguous scratch segment whose first cell
-    absorbs the running sum; np.add.accumulate is defined by the sequential
-    recurrence r[i] = r[i-1] + x[i], so the segment's last cell is exactly
-    the left fold so far.
-    """
-    acc = 0.0
-    if values.size == 0:
-        return acc
-    for chunk in _row_major_chunks(values):
-        seg = chunk.flatten()
-        seg[0] = acc + seg[0]
-        np.add.accumulate(seg, out=seg)
-        acc = float(seg[-1])
+
+def _fold(values: np.ndarray, acc: float = 0.0) -> float:
+    """Strict left-to-right sum of the cells of ``values`` in row-major order,
+    continuing from ``acc``; each block is copied into a scratch segment."""
+    for index in _blocks(values.shape):
+        seg = values[index].flatten()
+        if seg.size:
+            acc = _carry(seg, acc)
     return acc
 
 
-def _marginal_table(
-    table: np.ndarray, kept: VariableSubset, dropped: VariableSubset
-) -> np.ndarray:
-    """Dense marginal over ``kept``, folded from strided views of ``table``.
+# Cached: for a small table, working this out costs as much as the fold.
+@functools.lru_cache(maxsize=1024)
+def _merged_axes(cards: State, kept: VariableSubset) -> tuple:
+    """How :func:`_marginal_blocks` views a table of shape ``cards``: the
+    shape with each maximal run of consecutive kept, or dropped, variables
+    merged into one axis; its kept and dropped axis sizes; whether the loop
+    runs over the dropped states (wide); and the axis order that puts the
+    looped-over side first."""
+    cuts = [0, *itertools.chain(*_runs(kept)), len(cards)]
+    shape = tuple(math.prod(cards[a:b]) for a, b in itertools.pairwise(cuts))
+    # dropped runs on the even axes, kept runs on the odd ones; only the
+    # first and the last run can be empty
+    kept_shape, drop_shape = shape[1::2], shape[::2]
+    kept_axes, drop_axes = range(1, len(shape), 2), range(0, len(shape), 2)
+    wide = math.prod(drop_shape) <= math.prod(kept_shape)
+    order = (*drop_axes, *kept_axes) if wide else (*kept_axes, *drop_axes)
+    return shape, kept_shape, drop_shape, wide, order
 
-    Every kept state's mass is the strict left fold, from 0.0, of its cells
-    in ascending mixed-radix order of the dropped variables, whichever side
-    the loop runs over (see the module docstring).
+
+def _marginal_blocks(
+    masses: np.ndarray, cards: State, kept: VariableSubset
+) -> Iterator[np.ndarray]:
+    """The marginal over ``kept`` of the dense row-major table ``masses`` of
+    shape ``cards``, in row-major blocks of at most ``_BLOCK`` kept states,
+    folded from strided views of the table.
+
+    Each maximal run of consecutive kept, or dropped, variables is first
+    merged into one axis (a free reshape), so a leave-one-out marginal reads
+    ``(outer, c_i, inner)``. Every kept state's mass is the strict left fold,
+    from 0.0, of its cells in ascending mixed-radix order of the dropped
+    variables, whichever side the loop runs over (see the module docstring).
     """
-    new_cards = tuple(table.shape[i] for i in kept)
-    drop_cards = tuple(table.shape[i] for i in dropped)
-    if math.prod(drop_cards) <= math.prod(new_cards):
-        view = np.transpose(table, dropped + kept)
-        acc = np.zeros(new_cards, dtype=np.float64)
-        for d in np.ndindex(drop_cards):
-            acc += view[d]
-        return acc
-    view = np.transpose(table, kept + dropped)
-    out = np.empty(new_cards, dtype=np.float64)
-    for k in np.ndindex(new_cards):
-        out[k] = _fold(view[k])
-    return out
+    shape, kept_shape, drop_shape, wide, order = _merged_axes(cards, kept)
+    view = masses.reshape(shape).transpose(order)
+    if wide:
+        # one zeroed block takes one slice per dropped state, ascending
+        lead = (slice(None),) * len(drop_shape)
+        for index in _blocks(kept_shape):
+            part = view[lead + index]
+            blk = np.zeros(part.shape[len(drop_shape):])
+            for d in itertools.product(*map(range, drop_shape)):
+                blk += part[d]
+            yield blk
+        return
+    # narrow: each kept state's cells are folded one after another
+    for index in _blocks(kept_shape):
+        part = view[index]
+        blk = np.empty(part.shape[: part.ndim - len(drop_shape)])
+        for k in itertools.product(*map(range, blk.shape)):
+            blk[k] = _fold(part[k])
+        yield blk
+
+
+def _entropy_of(blocks: Iterable[np.ndarray], log_base: float) -> float:
+    """-sum p*log(p) over the positive masses of ``blocks``, in order: one
+    strict fold whose terms are computed and folded a block at a time."""
+    acc = 0.0
+    for blk in blocks:
+        p = blk[blk > 0.0]
+        if p.size:
+            # log2(p) * p in place: the block's terms are its own array
+            terms = np.log2(p)
+            terms *= p
+            acc = _carry(terms, acc)
+    return 0.0 - acc / math.log2(log_base)
 
 
 def as_subset(indices: Iterable[int], n_vars: int) -> VariableSubset:
@@ -602,13 +644,13 @@ def marginalize(dist: JointDistribution, keep: Iterable[int]) -> JointDistributi
     kept = as_subset(keep, dist.n_vars)
     if kept == tuple(range(dist.n_vars)):
         return dist
-    kept_set = set(kept)
-    dropped = tuple(i for i in range(dist.n_vars) if i not in kept_set)
     new_cards = tuple(dist.cardinalities[i] for i in kept)
 
     if dist._codes is None:
-        table = dist._masses.reshape(dist.cardinalities)
-        folded = _marginal_table(table, kept, dropped).reshape(-1)
+        folded, start = np.empty(math.prod(new_cards)), 0
+        for blk in _marginal_blocks(dist._masses, dist.cardinalities, kept):
+            folded[start : start + blk.size] = blk.reshape(-1)
+            start += blk.size
         return JointDistribution(new_cards, folded, config=dist.config)
 
     codes, inverse = np.unique(
@@ -673,11 +715,8 @@ def entropy(dist: JointDistribution) -> float:
     result is never -0.0 (a point mass has entropy +0.0).
     """
     m = dist._masses
-    p = m[m > 0.0]
-    # log2(p) * p in place: one table-sized temporary, not two
-    terms = np.log2(p)
-    terms *= p
-    return 0.0 - _fold(terms) / math.log2(dist.config.log_base)
+    return _entropy_of((m[index] for index in _blocks(m.shape)),
+                       dist.config.log_base)
 
 
 def _single_entropies(dist: JointDistribution) -> tuple[float, ...]:
@@ -700,52 +739,19 @@ def _leave_one_out_entropies(dist: JointDistribution) -> tuple[float, ...]:
     """H(X^{-i}) for every variable, in index order; each has the bits of
     ``entropy(leave_one_out(dist, i))``.
 
-    A dense table is viewed as ``(outer, c_i, inner)`` and each marginal is
-    built in blocks of about ``_PROFILE_BLOCK`` kept states, in ascending
-    kept order: a block starts at 0.0 and adds one slice per state of
-    variable i in ascending order, exactly as :func:`_marginal_table` does.
-    Its positive cells' p*log2(p) terms are folded into a running sum with
-    the carry of :func:`_fold`. No marginal is materialized. A sparse table,
-    or a variable with more states than the marginal has, takes
+    A dense table's entropies are folded from :func:`_marginal_blocks`, so
+    no marginal is materialized; a sparse table takes
     ``entropy(leave_one_out(dist, i))`` itself. Requires N >= 2.
     """
-    cards = dist.cardinalities
-    out = []
-    for i, card in enumerate(cards):
-        outer, inner = math.prod(cards[:i]), math.prod(cards[i + 1:])
-        if dist._codes is not None or card > outer * inner:
-            out.append(entropy(leave_one_out(dist, i)))
-            continue
-        view = dist._masses.reshape(outer, card, inner)
-        acc = 0.0
-        for rows, cols in _kept_blocks(outer, inner):
-            part = view[rows, :, cols]
-            blk = np.zeros((part.shape[0], part.shape[2]), dtype=np.float64)
-            for d in range(card):
-                blk += part[:, d, :]
-            p = blk[blk > 0.0]
-            if p.size == 0:
-                continue
-            terms = np.log2(p)
-            terms *= p
-            terms[0] = acc + terms[0]
-            np.add.accumulate(terms, out=terms)
-            acc = float(terms[-1])
-        out.append(0.0 - acc / math.log2(dist.config.log_base))
-    return tuple(out)
-
-
-def _kept_blocks(outer: int, inner: int) -> Iterator[tuple[slice, slice]]:
-    """(rows, columns) slices that cover an ``(outer, inner)`` array in
-    row-major order, each of at most ``_PROFILE_BLOCK`` cells."""
-    if inner >= _PROFILE_BLOCK:
-        for row in range(outer):
-            for start in range(0, inner, _PROFILE_BLOCK):
-                yield slice(row, row + 1), slice(start, start + _PROFILE_BLOCK)
-        return
-    rows = _PROFILE_BLOCK // inner
-    for start in range(0, outer, rows):
-        yield slice(start, start + rows), slice(None)
+    if dist._codes is not None:
+        return tuple(entropy(leave_one_out(dist, i)) for i in range(dist.n_vars))
+    everything = tuple(range(dist.n_vars))
+    return tuple(
+        _entropy_of(_marginal_blocks(dist._masses, dist.cardinalities,
+                                     everything[:i] + everything[i + 1:]),
+                    dist.config.log_base)
+        for i in everything
+    )
 
 
 def _sample_columns(rows: Iterable[Sequence[object]]) -> list[tuple]:

@@ -581,6 +581,25 @@ def test_manifest_item_with_unknown_key_is_an_error(tmp_path, capsys, key):
     assert errors[1] is None
 
 
+@pytest.mark.parametrize("key,value", [
+    ("input", True),  # once opened file descriptor 1 and closed stdout
+    ("input", 0),  # once read stdin
+    ("input", None),
+    ("format", 1),
+    ("spectrum", "no"),  # once coerced to True
+    ("spectrum", 0),
+    ("normalize", "yes"),
+    ("normalize", None),
+])
+def test_manifest_value_of_wrong_type_is_an_error(tmp_path, capsys, key,
+                                                  value):
+    item = {key: value} if key == "input" else {"gen": PARITY3, key: value}
+    errors = batch_errors(tmp_path, capsys, [item, {"gen": PARITY3}])
+    assert errors[0]["type"] == "MalformedInputError"
+    assert repr(key) in errors[0]["message"]
+    assert errors[1] is None
+
+
 def test_measures_and_spectrum_do_not_go_through_batch(capsys, monkeypatch):
     import hoinfo.cli
 

@@ -1,10 +1,11 @@
 """The entropy-profile kernels against the primitives they replace.
 
 Property tests over small random tables with size-1 axes and zero cells:
-the fused leave-one-out kernel must give, bit for bit, the entropy of each
-materialized leave-one-out marginal, and every profile entropy must be the
-same for the dense and the sparse representation. Small profile blocks
-drive the blocked path, and blocks of only zero cells, on small tables.
+the leave-one-out entropies folded from the marginal kernel's blocks must
+give, bit for bit, the entropy of each materialized leave-one-out marginal,
+and every profile entropy must be the same for the dense and the sparse
+representation. Small blocks drive the blocked path, and blocks of only
+zero cells, on small tables.
 The run-based sparse marginal codes must equal the digit-based ones, also
 for object codes beyond 2**63 states. A 16-variable table checks every
 profile entropy against a correctly rounded reference.
@@ -32,7 +33,7 @@ cardinalities = st.lists(
     st.integers(1, 5), min_size=2, max_size=6
 ).filter(lambda cards: math.prod(cards) <= 1024)
 
-BLOCKS = [1, 3, 7, distribution._PROFILE_BLOCK]
+BLOCKS = [1, 3, 7, distribution._BLOCK]
 
 
 def bits(values) -> bytes:
@@ -67,13 +68,13 @@ def test_dense_kernel_equals_entropy_of_each_marginal(cards, seed, zero_share,
         materialized.append(i)
         return real_leave_one_out(dist, i)
 
-    with mock.patch.object(distribution, "_PROFILE_BLOCK", block), \
+    with mock.patch.object(distribution, "_BLOCK", block), \
             mock.patch.object(distribution, "leave_one_out", counted):
         got = distribution._leave_one_out_entropies(dense)
     assert bits(got) == bits(expected)
-    # only a variable with more states than its marginal is materialized
-    assert materialized == [i for i in range(n)
-                            if cards[i] > math.prod(cards) // cards[i]]
+    # no marginal is materialized, not even of a variable with more states
+    # than its marginal has
+    assert materialized == []
 
 
 def test_blocks_of_zero_cells_are_skipped():
@@ -81,7 +82,7 @@ def test_blocks_of_zero_cells_are_skipped():
     # of 1 or 3 kept states the last blocks hold no positive cell
     dist = build_distribution([2, 4], [((0, 0), 0.5), ((0, 1), 0.5)])
     for block in BLOCKS:
-        with mock.patch.object(distribution, "_PROFILE_BLOCK", block):
+        with mock.patch.object(distribution, "_BLOCK", block):
             got = distribution._leave_one_out_entropies(dist)
         assert got == (1.0, 0.0)
         assert bits(got) == bits([entropy(leave_one_out(dist, i))
@@ -97,7 +98,7 @@ def test_blocks_of_zero_cells_are_skipped():
 )
 def test_profile_is_the_same_dense_and_sparse(cards, seed, zero_share, block):
     dense = support.random_table(cards, seed, zero_share)
-    with mock.patch.object(distribution, "_PROFILE_BLOCK", block):
+    with mock.patch.object(distribution, "_BLOCK", block):
         got = profile(dense)
         assert len(got) == 2 * len(cards) + 1
         assert bits(got) == bits(profile(dense.to_sparse()))
