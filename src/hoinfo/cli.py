@@ -22,7 +22,7 @@ from . import __version__
 from .distribution import (
     EstimatorConfig,
     JointDistribution,
-    _estimate_with_alphabets,
+    _count_states,
     estimate_from_samples,  # noqa: F401 - perfbench/traced.py wraps this name
 )
 from .errors import (
@@ -105,9 +105,9 @@ def _load_input(
     if fmt == FORMAT_DIST_JSON:
         return loads_distribution(text, config, renormalize=normalize), descriptor, None
     if fmt == FORMAT_SAMPLES_CSV:
-        names, rows = parse_samples_csv(text)
-        dist, alphabets = _estimate_with_alphabets(rows, config)
-        return dist, descriptor, dict(zip(names, alphabets))
+        names, alphabets, digits = parse_samples_csv(text)
+        return (_count_states(alphabets, digits, config), descriptor,
+                dict(zip(names, alphabets)))
     raise InvalidOrderError(f"unknown input format {fmt!r}")
 
 

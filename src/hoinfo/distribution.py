@@ -59,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -770,16 +770,48 @@ def _sample_columns(rows: Iterable[Sequence[object]]) -> list[tuple]:
     return list(zip(*rows))
 
 
+def _index_column(
+    cells: Sequence[object],
+    symbols: Callable[[set], dict] | None = None,
+) -> tuple[list[object], np.ndarray]:
+    """The sorted alphabet of one column, and each cell's index in it as an
+    int64 array.
+
+    ``symbols`` maps the set of distinct cells to ``{cell: symbol}``; by
+    default each cell is its own symbol. It runs once per distinct cell,
+    not once per cell, and cells with one symbol share its index.
+    """
+    distinct = set(cells)
+    symbol = symbols(distinct) if symbols else dict(zip(distinct, distinct))
+    alphabet = sorted(set(symbol.values()))
+    position = {s: i for i, s in enumerate(alphabet)}
+    index = {cell: position[s] for cell, s in symbol.items()}
+    return alphabet, np.fromiter(map(index.__getitem__, cells), np.int64,
+                                 len(cells))
+
+
+def _count_states(
+    alphabets: Sequence[Sequence[object]],
+    digits: Sequence[np.ndarray],
+    cfg: EstimatorConfig,
+) -> JointDistribution:
+    """Plug-in estimate P(x) = count(x) / n_rows of samples given as each
+    column's alphabet and its cells' indices in it."""
+    cards = tuple(map(len, alphabets))
+    codes, counts = np.unique(_encode(digits, cards), return_counts=True)
+    return _from_support(cards, codes, counts / len(digits[0]), cfg)
+
+
 def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:
     """Per-variable alphabets observed in sample rows, in sorted symbol order.
 
     Sorting (rather than first-seen order) keeps the symbol-to-index mapping
     invariant under row permutations. Symbols within one column must be
     mutually comparable. These are the alphabets
-    :func:`estimate_from_samples` indexes by; they are read from the same
-    computation, so the estimate is built as well.
+    :func:`estimate_from_samples` indexes by; each column is indexed as
+    the estimate indexes it, and no table is built.
     """
-    return _estimate_with_alphabets(rows, DEFAULT_CONFIG)[1]
+    return [_index_column(column)[0] for column in _sample_columns(rows)]
 
 
 def estimate_from_samples(
@@ -793,22 +825,5 @@ def estimate_from_samples(
     order. No bias correction is applied.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    return _estimate_with_alphabets(rows, cfg)[0]
-
-
-def _estimate_with_alphabets(
-    rows: Sequence[Sequence[object]], cfg: EstimatorConfig
-) -> tuple[JointDistribution, list[list[object]]]:
-    """The plug-in estimate of sample rows and the sorted alphabet of each
-    column, which it indexes by; every column is sorted once."""
-    columns = _sample_columns(rows)
-    n_rows = len(columns[0])
-    digits, alphabets = [], []
-    for column in columns:
-        alphabet = sorted(set(column))
-        index = {symbol: i for i, symbol in enumerate(alphabet)}
-        digits.append(np.fromiter(map(index.__getitem__, column), np.int64, n_rows))
-        alphabets.append(alphabet)
-    cards = tuple(map(len, alphabets))
-    codes, counts = np.unique(_encode(digits, cards), return_counts=True)
-    return _from_support(cards, codes, counts / n_rows, cfg), alphabets
+    alphabets, digits = zip(*map(_index_column, _sample_columns(rows)))
+    return _count_states(alphabets, digits, cfg)

@@ -17,12 +17,16 @@ state order. Probabilities are emitted with full float64 fidelity
 (shortest round-tripping decimal form), so a write/read cycle reproduces
 every mass bit for bit.
 
-Samples CSV: a header row of variable names, then one row per
+Samples CSV: a header row of distinct variable names, then one row per
 observation. A column whose every cell parses as an integer is read as
 integers; otherwise its cells stay strings. In an all-integer column,
 cells that spell the same integer are one symbol: "01", "1" and "+1" are
 all the integer 1. A column with any non-integer cell keeps "01" and "1"
-apart. Symbols are mapped to indices in sorted order by the estimator.
+apart. The reader indexes each column once: it sorts the column's symbols
+into its alphabet and returns every cell as its symbol's index there, the
+indices the estimator counts. ``int`` runs once per distinct cell text.
+Text the ``csv`` module cannot parse, or a repeated column name, raises
+:class:`~hoinfo.errors.MalformedInputError`.
 """
 
 from __future__ import annotations
@@ -30,11 +34,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Mapping, Sequence
+from collections import Counter
+from typing import Mapping
+
+import numpy as np
 
 from .distribution import (
     EstimatorConfig,
     JointDistribution,
+    _index_column,
     build_distribution,
 )
 from .errors import EmptyInputError, MalformedInputError, RaggedRowsError
@@ -95,10 +103,15 @@ def loads_distribution(
     )
 
 
-def parse_samples_csv(text: str) -> tuple[list[str], list[tuple]]:
-    """Read a samples CSV into (variable names, typed observation rows)."""
-    reader = csv.reader(io.StringIO(text))
-    table = [row for row in reader if row]
+def parse_samples_csv(
+    text: str,
+) -> tuple[list[str], list[list], list[np.ndarray]]:
+    """Read a samples CSV into (variable names, the sorted alphabet of each
+    column, each column's int64 indices of its cells in that alphabet)."""
+    try:
+        table = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise MalformedInputError(f"samples CSV cannot be parsed: {exc}") from None
     if not table:
         raise EmptyInputError("samples CSV is empty")
     header, *raw_rows = table
@@ -110,20 +123,23 @@ def parse_samples_csv(text: str) -> tuple[list[str], list[tuple]]:
         raise RaggedRowsError(
             f"row {row!r} has {len(row)} columns, header has {arity}"
         )
-    columns = [_typed_column(cells) for cells in zip(*raw_rows)]
-    return list(header), list(zip(*columns))
+    repeated = sorted(name for name, n in Counter(header).items() if n > 1)
+    if repeated:
+        raise MalformedInputError(
+            f"samples CSV repeats the column names {repeated}"
+        )
+    alphabets, digits = zip(*(_index_column(cells, _cell_symbols)
+                              for cells in zip(*raw_rows)))
+    return header, list(alphabets), list(digits)
 
 
-def _typed_column(cells: tuple[str, ...]) -> Sequence:
-    """The column as integers if every cell parses as one, else unchanged.
-
-    ``int`` runs once per distinct cell text, not once per cell.
-    """
+def _cell_symbols(texts: set[str]) -> dict:
+    """Each distinct cell text's symbol: its integer if every text parses as
+    one, else the text itself."""
     try:
-        value = {cell: int(cell) for cell in set(cells)}
+        return {text: int(text) for text in texts}
     except ValueError:
-        return cells
-    return list(map(value.__getitem__, cells))
+        return {text: text for text in texts}
 
 
 def sniff_format(path: str, text: str) -> str:

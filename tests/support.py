@@ -15,6 +15,7 @@ from hoinfo import (
     random_distribution,
     total_correlation,
 )
+from hoinfo.fileio import parse_samples_csv
 
 # Uniform inputs with the last variable their XOR: the canonical pure
 # three-way synergy. Dyadic masses, so all derived sums are exact.
@@ -28,6 +29,15 @@ XOR_TRIPLE_ENTRIES = [
 
 def xor_triple() -> JointDistribution:
     return build_distribution([2, 2, 2], XOR_TRIPLE_ENTRIES)
+
+
+def samples_csv_rows(text: str) -> tuple[list[str], list[tuple]]:
+    """(names, observation rows) of a samples CSV, each row rebuilt from
+    the alphabets and symbol indices that ``parse_samples_csv`` returns."""
+    names, alphabets, digits = parse_samples_csv(text)
+    columns = [[alphabet[i] for i in d.tolist()]
+               for alphabet, d in zip(alphabets, digits)]
+    return names, list(zip(*columns))
 
 
 def random_suite(count: int, master_seed: int = 20240817,

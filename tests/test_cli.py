@@ -189,6 +189,31 @@ def test_samples_csv_ingestion_reports_mapping(tmp_path, capsys):
     assert report["measures"]["dual_total_correlation"] == 2.0
 
 
+def test_unparseable_csv_exits_1_and_fails_its_batch_item(tmp_path, capsys):
+    # one cell past the csv module's 131072-character field limit
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y\n" + "1" * 131073 + ",0\n")
+    code, out, err = run_cli(capsys, ["measures", "--input", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hoinfo: error: ") and err.count("\n") == 1
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"input": str(bad)}]))
+    code, out, _ = run_cli(capsys, ["batch", str(manifest)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "MalformedInputError"
+
+
+def test_csv_with_a_repeated_column_name_exits_1(tmp_path, capsys):
+    bad = tmp_path / "repeated.csv"
+    bad.write_text("x,y,x,z,y\n0,1,0,1,0\n")
+    code, out, err = run_cli(capsys, ["measures", "--input", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hoinfo: error: samples CSV repeats the column names ['x', 'y']\n")
+
+
 def test_csv_output_round_trips_floats(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -35,7 +35,6 @@ from hoinfo import (
     s_information,
     total_correlation,
 )
-from hoinfo.fileio import parse_samples_csv
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,7 @@ def test_estimate_sorts_symbols_deterministically():
 def test_csv_integer_column_merges_spellings_of_one_value():
     # an all-integer column is read as integers, so "01" and "1" are one
     # symbol; a column with any other cell keeps every cell as its string
-    _, rows = parse_samples_csv("x,y\n01,a\n1,a\n0,01\n00,1\n")
+    _, rows = support.samples_csv_rows("x,y\n01,a\n1,a\n0,01\n00,1\n")
     assert rows == [(1, "a"), (1, "a"), (0, "01"), (0, "1")]
     assert infer_alphabets(rows) == [[0, 1], ["01", "1", "a"]]
 
@@ -446,7 +445,7 @@ def test_estimate_64_column_csv_matches_oracle():
                            axis=1)
     text = ",".join(f"x{j}" for j in range(64)) + "\n" + "".join(
         ",".join(map(str, row)) + "\n" for row in table.tolist())
-    _, rows = parse_samples_csv(text)
+    _, rows = support.samples_csv_rows(text)
     d = estimate_from_samples(rows)
     assert d.n_states == 3**64
     pmf = {}

@@ -31,6 +31,7 @@ from hoinfo import (
     product,
     random_distribution,
 )
+from hoinfo.distribution import DEFAULT_CONFIG, _count_states
 from hoinfo.fileio import (
     distribution_from_obj,
     dumps_distribution,
@@ -176,26 +177,40 @@ def cellwise_parse(text):
     return header, [tuple(col[i] for col in columns) for i in range(len(rows))]
 
 
-cells = st.sampled_from(["0", "1", "01", "+1", " 2", "-3", "a", "b", "1.0"])
+cells = st.sampled_from([
+    "0", "1", "01", "+1", " 2", "-3", "a", "b", "1.0",
+    "a,b", 'say "hi"', "two\nlines", "",
+    str(2**64), str(-2**63 - 1), "0" + str(2**64),
+])
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), arity=st.integers(1, 4))
-def test_csv_columns_match_cellwise_reader_and_counts(data, arity):
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), arity=st.integers(1, 4),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_csv_columns_match_cellwise_reader_and_counts(data, arity, newline):
+    # quoted cells hold commas, newlines and doubled quotes; some integers
+    # do not fit int64; blank lines may fall between any two lines
     pools = [data.draw(st.lists(cells, min_size=1, max_size=4, unique=True))
              for _ in range(arity)]
     rows = data.draw(st.lists(
         st.tuples(*[st.sampled_from(pool) for pool in pools]),
         min_size=1, max_size=40))
-    text = "\n".join([",".join(f"v{j}" for j in range(arity))]
-                     + [",".join(r) for r in rows]) + "\n"
-    names, typed = parse_samples_csv(text)
+    lines = io.StringIO()
+    writer = csv.writer(lines, lineterminator=newline)
+    for row in [[f"v{j}" for j in range(arity)], *rows]:
+        writer.writerow(row)
+        lines.write(newline * data.draw(st.integers(0, 1)))
+    text = lines.getvalue()
+    names, typed = support.samples_csv_rows(text)
     assert (names, typed) == cellwise_parse(text)
     assert [list(map(type, r)) for r in typed] == [
         list(map(type, r)) for r in cellwise_parse(text)[1]]
-    alphabets = infer_alphabets(typed)
+    _, alphabets, digits = parse_samples_csv(text)
+    assert alphabets == infer_alphabets(typed)
     assert alphabets == [sorted({r[j] for r in typed}) for j in range(arity)]
     counts = collections.Counter(
         tuple(a.index(s) for a, s in zip(alphabets, r)) for r in typed)
     expected = {s: c / len(typed) for s, c in sorted(counts.items())}
     assert dict(estimate_from_samples(typed).items()) == expected
+    assert dict(_count_states(alphabets, digits,
+                              DEFAULT_CONFIG).items()) == expected
