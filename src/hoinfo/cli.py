@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import sys
 from typing import Mapping, Sequence
@@ -56,6 +57,9 @@ _CLI_KINDS = sorted(
 )
 # The generator flags; each is stored under its generator spec key.
 _GEN_FLAGS = ("order", "alphabet", "n_vars", "seed", "concentration")
+# The SpectrumResult fields a report's "spectrum" object holds, in order.
+_SPECTRUM_FIELDS = ("delta", "gamma", "synergy_order", "redundancy_order",
+                    "delta_crossing", "gamma_crossing")
 
 
 def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:
@@ -134,25 +138,10 @@ def _run_report(
         report["alphabet_mapping"] = alphabet_mapping
     if include_spectrum:
         spec = compute_spectrum(dist)
-        measures = spec.measures
+        report["measures"] = dataclasses.asdict(spec.measures)
+        report["spectrum"] = {f: getattr(spec, f) for f in _SPECTRUM_FIELDS}
     else:
-        measures = measure_report(dist)
-    report["measures"] = {
-        "joint_entropy": measures.joint_entropy,
-        "total_correlation": measures.total_correlation,
-        "dual_total_correlation": measures.dual_total_correlation,
-        "s_information": measures.s_information,
-        "o_information": measures.o_information,
-    }
-    if include_spectrum:
-        report["spectrum"] = {
-            "delta": list(spec.delta),
-            "gamma": list(spec.gamma),
-            "synergy_order": spec.synergy_order,
-            "redundancy_order": spec.redundancy_order,
-            "delta_crossing": spec.delta_crossing,
-            "gamma_crossing": spec.gamma_crossing,
-        }
+        report["measures"] = dataclasses.asdict(measure_report(dist))
     return report
 
 
@@ -160,7 +149,7 @@ def _report_csv_rows(report: Mapping) -> list[tuple[str, object]]:
     """Flatten a report to (field, value) rows for spreadsheet use.
 
     Nested objects are walked in place under their own keys and a list
-    field becomes one ``field_k`` row per element, except that
+    or tuple field becomes one ``field_k`` row per element, except that
     ``cardinalities`` is one space-joined row and ``alphabet_mapping`` is
     left out.
     """
@@ -171,7 +160,7 @@ def _report_csv_rows(report: Mapping) -> list[tuple[str, object]]:
         elif isinstance(value, Mapping):
             if key != "alphabet_mapping":
                 rows += _report_csv_rows(value)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             rows += [(f"{key}_{k}", item) for k, item in enumerate(value)]
         else:
             rows.append((key, value))

@@ -447,7 +447,8 @@ def _from_support(
 
 def _check_support_size(n_support: int, cfg: EstimatorConfig) -> None:
     """Reject a support of more than ``cfg.max_dense_states`` states; a
-    generator calls this before it builds its support arrays."""
+    generator or :func:`product` calls this before it builds its support
+    arrays."""
     if n_support > cfg.max_dense_states:
         raise TableTooLargeError(
             f"sparse support of {n_support} states exceeds "
@@ -690,12 +691,7 @@ def product(
         table = np.multiply.outer(dist_a._masses, dist_b._masses)
         return JointDistribution(cards, table.reshape(-1), config=cfg)
 
-    nnz = dist_a.support_size * dist_b.support_size
-    if nnz > cfg.max_dense_states:
-        raise TableTooLargeError(
-            f"product support of {nnz} states exceeds max_dense_states="
-            f"{cfg.max_dense_states}"
-        )
+    _check_support_size(dist_a.support_size * dist_b.support_size, cfg)
     codes_a, masses_a = dist_a._support()
     codes_b, masses_b = dist_b._support()
     dtype = _code_dtype(cards)
@@ -754,20 +750,36 @@ def _leave_one_out_entropies(dist: JointDistribution) -> tuple[float, ...]:
     )
 
 
-def _sample_columns(rows: Iterable[Sequence[object]]) -> list[tuple]:
-    """The columns of sample rows, which must all have one arity."""
+def _index_samples(
+    rows: Iterable[Sequence[object]],
+    symbols: Callable[[set], dict] | None = None,
+) -> tuple[list[list[object]], list[np.ndarray]]:
+    """Each column's sorted alphabet and its cells' int64 indices in it, for
+    sample rows given row by row; ``symbols`` is :func:`_index_column`'s.
+
+    The one owner of the rules for sample rows: at least one row, one arity
+    of at least one column for every row, and in each column symbols that
+    are hashable and can be sorted against each other.
+    """
     rows = list(rows)
     if not rows:
         raise EmptyInputError("no sample rows given")
-    arity = len(rows[0])
-    if set(map(len, rows)) != {arity}:
-        r = next(r for r in rows if len(r) != arity)
-        raise RaggedRowsError(
-            f"row arity {len(r)} does not match first row arity {arity}"
-        )
-    if arity == 0:
+    arities = set(map(len, rows))
+    if len(arities) > 1:
+        raise RaggedRowsError(f"sample row arities differ: {sorted(arities)}")
+    if arities == {0}:
         raise EmptyInputError("sample rows have no columns")
-    return list(zip(*rows))
+    indexed = []
+    for j, cells in enumerate(zip(*rows)):
+        try:
+            indexed.append(_index_column(cells, symbols))
+        except TypeError as exc:
+            raise MalformedInputError(
+                f"column {j} holds symbols that are unhashable or cannot be "
+                f"sorted against each other: {exc}"
+            ) from None
+    alphabets, digits = zip(*indexed)
+    return list(alphabets), list(digits)
 
 
 def _index_column(
@@ -806,12 +818,15 @@ def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:
     """Per-variable alphabets observed in sample rows, in sorted symbol order.
 
     Sorting (rather than first-seen order) keeps the symbol-to-index mapping
-    invariant under row permutations. Symbols within one column must be
-    mutually comparable. These are the alphabets
-    :func:`estimate_from_samples` indexes by; each column is indexed as
-    the estimate indexes it, and no table is built.
+    invariant under row permutations. The symbols of one column must be
+    hashable and sortable against each other, or
+    :class:`~hoinfo.errors.MalformedInputError` names the column. No rows,
+    or rows of no columns, raise :class:`~hoinfo.errors.EmptyInputError`,
+    and rows of unequal arity :class:`~hoinfo.errors.RaggedRowsError`.
+    These are the alphabets :func:`estimate_from_samples` indexes by, and
+    no table is built.
     """
-    return [_index_column(column)[0] for column in _sample_columns(rows)]
+    return _index_samples(rows)[0]
 
 
 def estimate_from_samples(
@@ -821,9 +836,9 @@ def estimate_from_samples(
     """Plug-in frequency estimate P(x) = count(x) / n_rows.
 
     The alphabet of each variable is the sorted set of its observed symbols
-    (see :func:`infer_alphabets`); symbols are mapped to indices in that
-    order. No bias correction is applied.
+    (see :func:`infer_alphabets`, whose row rules and errors apply);
+    symbols are mapped to indices in that order. No bias correction is
+    applied.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    alphabets, digits = zip(*map(_index_column, _sample_columns(rows)))
-    return _count_states(alphabets, digits, cfg)
+    return _count_states(*_index_samples(rows), cfg)

@@ -25,8 +25,12 @@ all the integer 1. A column with any non-integer cell keeps "01" and "1"
 apart. The reader indexes each column once: it sorts the column's symbols
 into its alphabet and returns every cell as its symbol's index there, the
 indices the estimator counts. ``int`` runs once per distinct cell text.
-Text the ``csv`` module cannot parse, or a repeated column name, raises
-:class:`~hoinfo.errors.MalformedInputError`.
+Text the ``csv`` module cannot parse, a repeated column name, or a header
+whose width is not the rows' raises
+:class:`~hoinfo.errors.MalformedInputError`, and empty text
+:class:`~hoinfo.errors.EmptyInputError`. The observation rows follow the
+rules and raise the errors of :func:`~hoinfo.estimate_from_samples`: a
+header with no rows, or rows of unequal width, is rejected there.
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ import numpy as np
 from .distribution import (
     EstimatorConfig,
     JointDistribution,
-    _index_column,
+    _index_samples,
     build_distribution,
 )
-from .errors import EmptyInputError, MalformedInputError, RaggedRowsError
+from .errors import EmptyInputError, MalformedInputError
 
 FORMAT_DIST_JSON = "dist-json"
 FORMAT_SAMPLES_CSV = "samples-csv"
@@ -115,22 +119,18 @@ def parse_samples_csv(
     if not table:
         raise EmptyInputError("samples CSV is empty")
     header, *raw_rows = table
-    if not raw_rows:
-        raise EmptyInputError("samples CSV has a header but no observations")
-    arity = len(header)
-    if set(map(len, raw_rows)) != {arity}:
-        row = next(row for row in raw_rows if len(row) != arity)
-        raise RaggedRowsError(
-            f"row {row!r} has {len(row)} columns, header has {arity}"
-        )
     repeated = sorted(name for name, n in Counter(header).items() if n > 1)
     if repeated:
         raise MalformedInputError(
             f"samples CSV repeats the column names {repeated}"
         )
-    alphabets, digits = zip(*(_index_column(cells, _cell_symbols)
-                              for cells in zip(*raw_rows)))
-    return header, list(alphabets), list(digits)
+    alphabets, digits = _index_samples(raw_rows, _cell_symbols)
+    if len(alphabets) != len(header):
+        raise MalformedInputError(
+            f"samples CSV header has width {len(header)}, "
+            f"its rows width {len(alphabets)}"
+        )
+    return header, alphabets, digits
 
 
 def _cell_symbols(texts: set[str]) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -162,6 +163,20 @@ def test_mass_checks_its_state_as_the_loader_does():
         d.mass((0, 2))
     with pytest.raises(StateOutOfRangeError, match="outside"):
         d.mass((-1, 0))
+
+
+def test_sparse_mass_looks_up_hits_and_misses():
+    d = parity(4).to_sparse()
+    assert d.representation == "sparse"
+    for state in itertools.product(range(2), repeat=4):
+        assert d.mass(state) == (0.125 if sum(state) % 2 == 0 else 0.0)
+    assert d.mass((1, 1, 1, 1)) == 0.125  # the last support code
+    big = giant_bit(70)  # 2**70 states: Python-int (object) codes
+    assert big.representation == "sparse" and big._codes.dtype == object
+    assert big.mass((1,) * 70) == 0.5
+    assert big.mass((0,) * 70) == 0.5
+    assert big.mass((0,) * 69 + (1,)) == 0.0
+    assert big.mass((1,) * 69 + (0,)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +432,14 @@ def test_estimate_rejects_empty_and_ragged():
         estimate_from_samples([])
     with pytest.raises(RaggedRowsError):
         estimate_from_samples([(0, 1), (0,)])
+    with pytest.raises(EmptyInputError):
+        estimate_from_samples([(), ()])
+    # symbols that cannot be sorted against each other, or hashed, are
+    # malformed input, named by their column
+    with pytest.raises(MalformedInputError, match="column 0"):
+        estimate_from_samples([(1, 0), ("a", 1)])
+    with pytest.raises(MalformedInputError, match="column 1"):
+        infer_alphabets([(0, [1]), (1, [0])])
 
 
 def test_estimate_sorts_symbols_deterministically():

@@ -3,7 +3,8 @@
 The writer must reproduce ``json.dumps(obj, indent=2)`` byte for byte,
 the array-checked loader must build what the dict reference builds and
 report the same first invalid entry as a per-entry loop, and the
-column-wise CSV reader must type cells as a per-cell reader does.
+column-wise CSV reader must type cells as a per-cell reader does. A
+malformed input file raises its named error and makes the CLI exit 1.
 """
 
 import collections
@@ -18,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from hoinfo import (
+    EmptyInputError,
     EstimatorConfig,
     HoinfoError,
     MalformedInputError,
+    RaggedRowsError,
     StateOutOfRangeError,
     build_distribution,
     estimate_from_samples,
@@ -31,6 +34,7 @@ from hoinfo import (
     product,
     random_distribution,
 )
+from hoinfo.cli import main
 from hoinfo.distribution import DEFAULT_CONFIG, _count_states
 from hoinfo.fileio import (
     distribution_from_obj,
@@ -214,3 +218,46 @@ def test_csv_columns_match_cellwise_reader_and_counts(data, arity, newline):
     assert dict(estimate_from_samples(typed).items()) == expected
     assert dict(_count_states(alphabets, digits,
                               DEFAULT_CONFIG).items()) == expected
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+# Each malformed input file: (suffix, text, the error its reader raises).
+INPUT_FAULTS = {
+    "csv_empty": (".csv", "", EmptyInputError),
+    "csv_blank_lines_only": (".csv", "\n\r\n\n", EmptyInputError),
+    "csv_header_only": (".csv", "x,y\n", EmptyInputError),
+    "csv_row_of_another_width": (".csv", "x,y\n0,1\n0\n1,0\n",
+                                 RaggedRowsError),
+    "csv_rows_narrower_than_header": (".csv", "x,y,z\n0,1\n1,0\n",
+                                      MalformedInputError),
+    "csv_rows_wider_than_header": (".csv", "x\n0,1\n1,0\n",
+                                   MalformedInputError),
+    "json_not_an_object": (".json", "[2, 2]", EmptyInputError),
+    "json_no_cardinalities": (
+        ".json", '{"entries": [{"state": [0], "p": 1.0}]}', EmptyInputError),
+    "json_no_entries": (".json", '{"cardinalities": [2]}', EmptyInputError),
+    "json_entry_without_state": (
+        ".json", '{"cardinalities": [2], "entries": [{"p": 1.0}]}',
+        EmptyInputError),
+    "json_entry_without_p": (
+        ".json", '{"cardinalities": [2], "entries": [{"state": [0]}]}',
+        EmptyInputError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
+def test_malformed_input_raises_its_error_and_exits_1(tmp_path, capsys, case):
+    suffix, text, error = INPUT_FAULTS[case]
+    read = parse_samples_csv if suffix == ".csv" else loads_distribution
+    with pytest.raises(HoinfoError) as caught:
+        read(text)
+    assert type(caught.value) is error
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    assert main(["measures", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hoinfo: error: {caught.value}\n"
