@@ -136,12 +136,10 @@ def _run_report(
     }
     if alphabet_mapping is not None:
         report["alphabet_mapping"] = alphabet_mapping
+    report["measures"] = dataclasses.asdict(measure_report(dist))
     if include_spectrum:
         spec = compute_spectrum(dist)
-        report["measures"] = dataclasses.asdict(spec.measures)
         report["spectrum"] = {f: getattr(spec, f) for f in _SPECTRUM_FIELDS}
-    else:
-        report["measures"] = dataclasses.asdict(measure_report(dist))
     return report
 
 

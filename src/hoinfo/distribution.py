@@ -42,15 +42,19 @@ computed from the same runs of consecutive kept variables as the dense
 merge; they are the same integers as re-encoding the kept digits.
 
 The entropy profile of a distribution (H(X), every H(X_i) and every
-H(X^{-i})) reads the one marginal kernel. The singles are the entropies of
-the leaves of a halving tree of :func:`marginalize` calls (the first half
-of the variables, then the second, recursively), the same calls in both
-representations; so they can differ in the last bits from the entropy of
-a direct one-variable marginal. The leave-one-out entropies of a dense
-table are folded from the blocks of :func:`_marginal_blocks` as they are
-made, without materializing the marginal; :func:`marginalize` writes the
-same blocks and :func:`entropy` folds the same terms in the same order, so
-they have the bits of ``entropy(leave_one_out(dist, i))``.
+H(X^{-i})) is built by one function, :func:`_entropy_profile`, the first
+time a measure asks for it, and kept on the distribution as floats; every
+later measure of that distribution that needs it reads the kept profile,
+so each value has the bits of that one build. The profile reads the one
+marginal kernel. The singles are the entropies of the leaves of a halving
+tree of :func:`marginalize` calls (the first half of the variables, then
+the second, recursively), the same calls in both representations; so they
+can differ in the last bits from the entropy of a direct one-variable
+marginal. The leave-one-out entropies of a dense table are folded from the
+blocks of :func:`_marginal_blocks` as they are made, without
+materializing the marginal; :func:`marginalize` writes the same blocks and
+:func:`entropy` folds the same terms in the same order, so they have the
+bits of ``entropy(leave_one_out(dist, i))``.
 """
 
 from __future__ import annotations
@@ -310,7 +314,11 @@ class JointDistribution:
     Instances are produced by :func:`build_distribution`, the generators, or
     :func:`estimate_from_samples`; all operations return new objects and the
     underlying storage is never mutated, so instances are safe to share
-    across threads.
+    across threads. The one slot written after construction is
+    ``_profile``: :func:`_entropy_profile` fills it once, on first use, with
+    an :class:`EntropyProfile` of floats, never tables. It needs no lock:
+    threads that race on it compute the same bits, and whichever result is
+    kept is the same profile.
 
     Attributes
     ----------
@@ -327,7 +335,7 @@ class JointDistribution:
     """
 
     __slots__ = ("n_vars", "cardinalities", "representation", "config",
-                 "_masses", "_codes")
+                 "_masses", "_codes", "_profile")
 
     def __init__(
         self,
@@ -345,6 +353,7 @@ class JointDistribution:
         self._masses.flags.writeable = False
         self._codes = codes
         self.representation = "dense" if codes is None else "sparse"
+        self._profile = None
 
     # -- basic accessors -----------------------------------------------------
 
@@ -750,6 +759,27 @@ def _leave_one_out_entropies(dist: JointDistribution) -> tuple[float, ...]:
     )
 
 
+@dataclass(frozen=True, slots=True)
+class EntropyProfile:
+    """The entropies every multivariate measure is read from: H(X), each
+    H(X_i) and each H(X^{-i}), in variable index order, as Python floats."""
+
+    joint: float
+    singles: tuple[float, ...]
+    leave_one_out: tuple[float, ...]
+
+
+def _entropy_profile(dist: JointDistribution) -> EntropyProfile:
+    """The entropy profile of ``dist`` (N >= 2), from :func:`entropy`,
+    :func:`_single_entropies` and :func:`_leave_one_out_entropies`; built
+    on first use and kept in ``dist._profile``, which every later call
+    reads."""
+    if dist._profile is None:
+        dist._profile = EntropyProfile(entropy(dist), _single_entropies(dist),
+                                       _leave_one_out_entropies(dist))
+    return dist._profile
+
+
 def _index_samples(
     rows: Iterable[Sequence[object]],
     symbols: Callable[[set], dict] | None = None,
@@ -757,45 +787,55 @@ def _index_samples(
     """Each column's sorted alphabet and its cells' int64 indices in it, for
     sample rows given row by row; ``symbols`` is :func:`_index_column`'s.
 
-    The one owner of the rules for sample rows: at least one row, one arity
-    of at least one column for every row, and in each column symbols that
-    are hashable and can be sorted against each other.
+    The one owner of the rules for sample rows: at least one row, each row
+    a sequence, one arity of at least one column for every row, and in each
+    column symbols that are hashable, not NaN, and can be sorted against
+    each other.
     """
     rows = list(rows)
     if not rows:
         raise EmptyInputError("no sample rows given")
-    arities = set(map(len, rows))
+    try:
+        arities = set(map(len, rows))
+    except TypeError as exc:
+        raise MalformedInputError(
+            f"every sample row must be a sequence of symbols: {exc}"
+        ) from None
     if len(arities) > 1:
         raise RaggedRowsError(f"sample row arities differ: {sorted(arities)}")
     if arities == {0}:
         raise EmptyInputError("sample rows have no columns")
-    indexed = []
-    for j, cells in enumerate(zip(*rows)):
-        try:
-            indexed.append(_index_column(cells, symbols))
-        except TypeError as exc:
-            raise MalformedInputError(
-                f"column {j} holds symbols that are unhashable or cannot be "
-                f"sorted against each other: {exc}"
-            ) from None
-    alphabets, digits = zip(*indexed)
+    alphabets, digits = zip(*(_index_column(j, cells, symbols)
+                              for j, cells in enumerate(zip(*rows))))
     return list(alphabets), list(digits)
 
 
 def _index_column(
+    j: int,
     cells: Sequence[object],
     symbols: Callable[[set], dict] | None = None,
 ) -> tuple[list[object], np.ndarray]:
-    """The sorted alphabet of one column, and each cell's index in it as an
-    int64 array.
+    """The sorted alphabet of column ``j``, and each cell's index in it as
+    an int64 array.
 
     ``symbols`` maps the set of distinct cells to ``{cell: symbol}``; by
     default each cell is its own symbol. It runs once per distinct cell,
-    not once per cell, and cells with one symbol share its index.
+    not once per cell, and cells with one symbol share its index. A symbol
+    that is unhashable, NaN (each NaN object would be a symbol of its own),
+    or cannot be sorted against the others raises
+    :class:`~hoinfo.errors.MalformedInputError` naming the column.
     """
-    distinct = set(cells)
-    symbol = symbols(distinct) if symbols else dict(zip(distinct, distinct))
-    alphabet = sorted(set(symbol.values()))
+    try:
+        distinct = set(cells)
+        symbol = symbols(distinct) if symbols else dict(zip(distinct, distinct))
+        alphabet = sorted(set(symbol.values()))
+    except TypeError as exc:
+        raise MalformedInputError(
+            f"column {j} holds symbols that are unhashable or cannot be "
+            f"sorted against each other: {exc}"
+        ) from None
+    if any(s != s for s in alphabet):
+        raise MalformedInputError(f"column {j} holds a NaN cell")
     position = {s: i for i, s in enumerate(alphabet)}
     index = {cell: position[s] for cell, s in symbol.items()}
     return alphabet, np.fromiter(map(index.__getitem__, cells), np.int64,

@@ -78,16 +78,14 @@ def distribution_from_obj(
 ) -> JointDistribution:
     """Parse the distribution JSON object form, with full validation."""
     if not isinstance(obj, Mapping):
-        raise EmptyInputError("distribution JSON must be an object")
+        raise MalformedInputError("distribution JSON must be an object")
     if "cardinalities" not in obj or "entries" not in obj:
         raise EmptyInputError(
             "distribution JSON needs 'cardinalities' and 'entries'"
         )
     try:
         entries = [(item["state"], item["p"]) for item in obj["entries"]]
-    except KeyError:
-        raise EmptyInputError("each entry needs 'state' and 'p'") from None
-    except TypeError:
+    except (KeyError, TypeError):
         raise MalformedInputError(
             "'entries' must be a list of objects with 'state' and 'p'"
         ) from None

@@ -104,22 +104,6 @@ class GeneratorSpec:
             parts.append(f"concentration={self.concentration}")
         return f"gen:{self.kind}({', '.join(parts)})"
 
-    def as_dict(self) -> dict:
-        """JSON-ready form; inverse of :func:`spec_from_dict`."""
-        out: dict = {"kind": self.kind}
-        if self.order is not None:
-            out["order"] = self.order
-        out["alphabet"] = self.alphabet
-        if self.n_vars is not None:
-            out["n_vars"] = self.n_vars
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.kind == "random_dirichlet_like":
-            out["concentration"] = self.concentration
-        if self.components:
-            out["components"] = [c.as_dict() for c in self.components]
-        return out
-
 
 # The value keys of a spec and the type test of each.
 _SPEC_VALUE_TYPES = dict.fromkeys(

@@ -10,11 +10,13 @@ the two k-parameterized whole-minus-sum families built from them:
   Special cases: k=0 gives S, k=1 gives T, k=2 gives O.
 
 Both families are affine in k, so each needs only one computation of S, T,
-and D. :func:`measure_report` is the one place that builds the 2N+1
-entropies H(X), H(X_i) and H(X^{-i}), from the profile kernels of
-:mod:`hoinfo.distribution`; every other multivariate measure here is a
-read of its result, except :func:`total_correlation`, which reads the
-same singles kernel.
+and D. :func:`measure_report` reads them from the distribution's entropy
+profile (H(X), every H(X_i) and every H(X^{-i})), which
+:mod:`hoinfo.distribution` builds once per distribution and keeps; every
+other multivariate measure here is a read of its result, so a sweep over
+k, or any mix of measures, builds the 2N+1 entropies once. The exception
+is :func:`total_correlation`, which needs only H(X) and the singles and
+computes them with the same kernels, without the leave-one-out half.
 
 All results are in units of ``dist.config.log_base`` (bits by default).
 Sums over variable indices accumulate in ascending index order, so results
@@ -29,7 +31,7 @@ from typing import Callable, Iterable
 
 from .distribution import (
     JointDistribution,
-    _leave_one_out_entropies,
+    _entropy_profile,
     _single_entropies,
     as_subset,
     entropy,
@@ -88,17 +90,17 @@ def _tc_from(h_joint: float, singles: Iterable[float]) -> float:
 
 
 def measure_report(dist: JointDistribution) -> MeasureReport:
-    """All five scalar measures from one pass over the 2N+1 entropies.
+    """All five scalar measures, read from the 2N+1 entropies of the
+    distribution's entropy profile.
 
-    The pass computes H(X), every H(X_i) from a halving tree of marginals
-    and every H(X^{-i}) from a fused, blocked fold; it is the only code
-    that builds them all, and the other multivariate measures in this
-    module read its result.
+    The profile (H(X), every H(X_i) from a halving tree of marginals and
+    every H(X^{-i}) from a fused, blocked fold) is built on the first call
+    for ``dist`` and kept on it; a later call, like each multivariate
+    measure in this module that reads this report, only does the sums.
     """
     _require_multivariate(dist)
-    h_joint = entropy(dist)
-    singles = _single_entropies(dist)
-    loo = _leave_one_out_entropies(dist)
+    profile = _entropy_profile(dist)
+    h_joint, singles, loo = profile.joint, profile.singles, profile.leave_one_out
     t = _tc_from(h_joint, singles)
     # D = H(X) - sum_i H(X_i | X^{-i}), with H(X_i | X^{-i}) = H(X) - H(X^{-i})
     acc = 0.0
@@ -143,8 +145,9 @@ def total_correlation(dist: JointDistribution) -> float:
 
     Zero exactly when all variables are independent; bounded above by
     (N-1) * max_i H(X_i). Defined for N >= 1 (trivially 0 for N = 1).
-    Reads the singles kernel of :func:`measure_report`, so the two agree
-    bit for bit.
+    Computes H(X) and the singles with the kernels of the entropy profile,
+    but not its leave-one-out half, so it agrees with
+    :func:`measure_report` bit for bit.
     """
     return _tc_from(entropy(dist), _single_entropies(dist))
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+import hoinfo.distribution as distribution
 from hoinfo import (
     JointDistribution,
     build_distribution,
@@ -29,6 +30,35 @@ XOR_TRIPLE_ENTRIES = [
 
 def xor_triple() -> JointDistribution:
     return build_distribution([2, 2, 2], XOR_TRIPLE_ENTRIES)
+
+
+# The kernels of the entropy profile, in the order its builder calls them.
+PROFILE_KERNELS = ("entropy", "_single_entropies", "_leave_one_out_entropies")
+
+
+def count_profile_kernels(monkeypatch) -> list[tuple[str, int]]:
+    """Patch the profile kernels of ``hoinfo.distribution`` to record the
+    (name, n_vars) of each outermost call; the calls the kernels make of
+    each other (the entropies of the singles tree's leaves, say) are not
+    recorded. Returns the list the calls are recorded in."""
+    calls: list[tuple[str, int]] = []
+    depth = []
+
+    def counting(name, real):
+        def counted(dist):
+            if not depth:
+                calls.append((name, dist.n_vars))
+            depth.append(name)
+            try:
+                return real(dist)
+            finally:
+                depth.pop()
+        return counted
+
+    for name in PROFILE_KERNELS:
+        monkeypatch.setattr(distribution, name,
+                            counting(name, getattr(distribution, name)))
+    return calls
 
 
 def samples_csv_rows(text: str) -> tuple[list[str], list[tuple]]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import support
 from hoinfo import giant_bit, measure_report, parity
 from hoinfo.cli import main
 
@@ -413,31 +414,15 @@ def test_point_mass_report_has_no_negative_zero(capsys):
 
 
 def test_spectrum_builds_the_entropy_profile_once(capsys, monkeypatch):
-    import hoinfo.measures
-
-    calls = []
-
-    def counting(name):
-        real = getattr(hoinfo.measures, name)
-
-        def counted(dist):
-            result = real(dist)
-            calls.append((name, dist.n_vars, result))
-            return result
-        monkeypatch.setattr(hoinfo.measures, name, counted)
-
-    for name in ("entropy", "_single_entropies", "_leave_one_out_entropies"):
-        counting(name)
+    calls = support.count_profile_kernels(monkeypatch)
     code, out, _ = run_cli(
         capsys,
         ["spectrum", "--gen", "random", "--n-vars", "4", "--seed", "5"])
     assert code == 0
     assert json.loads(out)["n_vars"] == 4
-    # H(X), then the four H(X_i) and the four H(X^-i) from one call each
-    assert [(name, n) for name, n, _ in calls] == [
-        ("entropy", 4), ("_single_entropies", 4),
-        ("_leave_one_out_entropies", 4)]
-    assert [len(result) for _, _, result in calls[1:]] == [4, 4]
+    # H(X), then the four H(X_i) and the four H(X^-i) from one call each,
+    # though the report reads both the measures and the spectrum
+    assert calls == [(name, 4) for name in support.PROFILE_KERNELS]
 
 
 def test_batch_rejects_unknown_item_format(tmp_path, capsys):

@@ -440,6 +440,14 @@ def test_estimate_rejects_empty_and_ragged():
         estimate_from_samples([(1, 0), ("a", 1)])
     with pytest.raises(MalformedInputError, match="column 1"):
         infer_alphabets([(0, [1]), (1, [0])])
+    # a row that is not a sequence
+    with pytest.raises(MalformedInputError, match="sequence"):
+        estimate_from_samples([5, 6])
+    # NaN cells: distinct NaN objects hash apart, so each would be a symbol
+    with pytest.raises(MalformedInputError, match="column 0.*NaN"):
+        estimate_from_samples(list(np.array([[np.nan], [np.nan]])))
+    with pytest.raises(MalformedInputError, match="column 1.*NaN"):
+        infer_alphabets([(0, float("nan")), (1, 2.0), (0, float("nan"))])
 
 
 def test_estimate_sorts_symbols_deterministically():
@@ -497,6 +505,12 @@ def test_same_seed_same_table():
 
 
 def test_repeated_measure_calls_are_identical(suite50):
+    # a later call reads the profile the first one kept, so compare with an
+    # equal distribution built afresh
     d = suite50[0]
+    fresh = support.random_suite(1)[0]
+    assert fresh is not d
+    assert np.array_equal(fresh.dense_table(), d.dense_table())
+    assert dual_total_correlation(d) == dual_total_correlation(fresh)
+    assert s_information(d) == s_information(fresh)
     assert dual_total_correlation(d) == dual_total_correlation(d)
-    assert s_information(d) == s_information(d)

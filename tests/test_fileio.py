@@ -235,16 +235,16 @@ INPUT_FAULTS = {
                                       MalformedInputError),
     "csv_rows_wider_than_header": (".csv", "x\n0,1\n1,0\n",
                                    MalformedInputError),
-    "json_not_an_object": (".json", "[2, 2]", EmptyInputError),
+    "json_not_an_object": (".json", "[2, 2]", MalformedInputError),
     "json_no_cardinalities": (
         ".json", '{"entries": [{"state": [0], "p": 1.0}]}', EmptyInputError),
     "json_no_entries": (".json", '{"cardinalities": [2]}', EmptyInputError),
     "json_entry_without_state": (
         ".json", '{"cardinalities": [2], "entries": [{"p": 1.0}]}',
-        EmptyInputError),
+        MalformedInputError),
     "json_entry_without_p": (
         ".json", '{"cardinalities": [2], "entries": [{"state": [0]}]}',
-        EmptyInputError),
+        MalformedInputError),
 }
 
 

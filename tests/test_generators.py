@@ -294,7 +294,14 @@ def test_spec_dict_round_trip():
                           concentration=0.5),
         ),
     )
-    assert spec_from_dict(spec.as_dict()) == spec
+    assert spec_from_dict({
+        "kind": "independent_product",
+        "components": [
+            {"kind": "parity", "order": 3, "alphabet": 2},
+            {"kind": "random_dirichlet_like", "alphabet": 2, "n_vars": 2,
+             "seed": 7, "concentration": 0.5},
+        ],
+    }) == spec
 
 
 def test_spec_describe_strings():

@@ -1,31 +1,48 @@
-"""The entropy-profile kernels against the primitives they replace.
+"""The entropy-profile kernels against the primitives they replace, and
+the one profile kept per distribution.
 
 Property tests over small random tables with size-1 axes and zero cells:
 the leave-one-out entropies folded from the marginal kernel's blocks must
 give, bit for bit, the entropy of each materialized leave-one-out marginal,
 and every profile entropy must be the same for the dense and the sparse
 representation. Small blocks drive the blocked path, and blocks of only
-zero cells, on small tables.
+zero cells, on small tables. A test that patches ``_BLOCK`` builds its
+distributions itself, so no kept profile hides the patched path.
 The run-based sparse marginal codes must equal the digit-based ones, also
 for object codes beyond 2**63 states. A 16-variable table checks every
 profile entropy against a correctly rounded reference.
+Every measure of one distribution, and every k of both sweeps, reads one
+profile, built once, of Python floats; threads that share a distribution
+get the bits of a fresh one.
 """
 
+import dataclasses
 import itertools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hoinfo.distribution as distribution
 import support
 from hoinfo import (
     build_distribution,
+    compute_spectrum,
+    delta_k,
+    dual_total_correlation,
     entropy,
+    gamma_k,
     giant_bit,
     leave_one_out,
     measure_report,
+    o_information,
+    parity,
+    random_distribution,
+    s_information,
     total_correlation,
 )
 
@@ -41,9 +58,10 @@ def bits(values) -> bytes:
 
 
 def profile(dist) -> tuple[float, ...]:
-    """All 2N+1 profile entropies: H(X), every H(X_i), every H(X^-i)."""
-    return ((entropy(dist),) + distribution._single_entropies(dist)
-            + distribution._leave_one_out_entropies(dist))
+    """The 2N+1 entropies of ``dist``'s profile in one tuple: H(X), every
+    H(X_i), every H(X^-i)."""
+    kept = distribution._entropy_profile(dist)
+    return (kept.joint, *kept.singles, *kept.leave_one_out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,3 +181,90 @@ def test_profile_of_a_large_table_is_accurate():
         # With k*m = 2**n cells, 2**n * u * (sum|t| + 1/ln 2) bounds both.
         tol = table.size * 2.0**-53 * (math.fsum(np.abs(terms)) + 1 / math.log(2))
         assert abs(got - reference) <= tol
+
+
+# ---------------------------------------------------------------------------
+# one kept profile per distribution
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_every_measure_of_one_distribution_builds_the_profile_once(
+        monkeypatch, sparse):
+    dist = random_distribution(5, (2, 3, 2, 2, 3), seed=8)
+    expected = measure_report(random_distribution(5, (2, 3, 2, 2, 3), seed=8))
+    if sparse:
+        dist = dist.to_sparse()
+    calls = support.count_profile_kernels(monkeypatch)
+    n = dist.n_vars
+    report = measure_report(dist)
+    spectrum = compute_spectrum(dist)
+    values = [dual_total_correlation(dist), s_information(dist),
+              o_information(dist)]
+    deltas = [delta_k(dist, k) for k in range(n + 1)]
+    gammas = [gamma_k(dist, k) for k in range(n + 1)]
+    assert calls == [(name, n) for name in support.PROFILE_KERNELS]
+    # every read has the bits of a fresh distribution's report
+    assert (bits(dataclasses.astuple(report))
+            == bits(dataclasses.astuple(spectrum.measures))
+            == bits(dataclasses.astuple(expected)))
+    assert bits(values) == bits([expected.dual_total_correlation,
+                                 expected.s_information,
+                                 expected.o_information])
+    assert bits(deltas) == bits(spectrum.delta)
+    assert bits(gammas) == bits(spectrum.gamma)
+
+
+def test_total_correlation_builds_no_leave_one_out_entropy(monkeypatch):
+    dist = random_distribution(6, 2, seed=4)
+    calls = support.count_profile_kernels(monkeypatch)
+    t = total_correlation(dist)
+    assert dist._profile is None
+    assert "_leave_one_out_entropies" not in [name for name, _ in calls]
+    assert t == measure_report(dist).total_correlation
+
+
+PROFILED = {
+    "dense": lambda: random_distribution(4, 3, seed=2),
+    "sparse": lambda: random_distribution(4, 3, seed=2).to_sparse(),
+    "parity": lambda: parity(3),
+    "object_codes": lambda: giant_bit(70),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILED))
+def test_kept_profile_holds_python_floats(kind):
+    dist = PROFILED[kind]()
+    kept = distribution._entropy_profile(dist)
+    assert dist._profile is kept
+    assert distribution._entropy_profile(dist) is kept
+    values = profile(dist)
+    assert len(values) == 2 * dist.n_vars + 1
+    assert all(type(value) is float for value in values)
+
+
+def test_threads_sharing_one_distribution_get_bit_equal_reports():
+    shared = random_distribution(12, 2, seed=11)
+    expected = measure_report(random_distribution(12, 2, seed=11))
+    n_threads = 4
+    start = threading.Barrier(n_threads)
+    reports = []
+
+    def work():
+        start.wait(timeout=30)
+        reports.append(measure_report(shared))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(reports) == n_threads
+    for report in reports:
+        assert bits(dataclasses.astuple(report)) == bits(
+            dataclasses.astuple(expected))
