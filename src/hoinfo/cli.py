@@ -109,8 +109,8 @@ def _load_input(
     if fmt == FORMAT_DIST_JSON:
         return loads_distribution(text, config, renormalize=normalize), descriptor, None
     if fmt == FORMAT_SAMPLES_CSV:
-        names, alphabets, digits = parse_samples_csv(text)
-        return (_count_states(alphabets, digits, config), descriptor,
+        names, alphabets, digits, counts = parse_samples_csv(text)
+        return (_count_states(alphabets, digits, counts, config), descriptor,
                 dict(zip(names, alphabets)))
     raise InvalidOrderError(f"unknown input format {fmt!r}")
 

@@ -41,6 +41,12 @@ marginal, the caller's order for duplicates. A sparse marginal's codes are
 computed from the same runs of consecutive kept variables as the dense
 merge; they are the same integers as re-encoding the kept digits.
 
+A plug-in estimate counts its states with ``np.bincount`` too: each
+distinct row's multiplicity (1 for a row given in Python, a line's count in
+a samples CSV) is added into its state's count. The multiplicities are
+exact integers, so the counts, and each mass count / rows, have the same
+bits however the rows were grouped.
+
 The entropy profile of a distribution (H(X), every H(X_i) and every
 H(X^{-i})) is built by one function, :func:`_entropy_profile`, the first
 time a measure asks for it, and kept on the distribution as floats; every
@@ -845,13 +851,17 @@ def _index_column(
 def _count_states(
     alphabets: Sequence[Sequence[object]],
     digits: Sequence[np.ndarray],
+    counts: np.ndarray,
     cfg: EstimatorConfig,
 ) -> JointDistribution:
     """Plug-in estimate P(x) = count(x) / n_rows of samples given as each
-    column's alphabet and its cells' indices in it."""
+    column's alphabet, its cells' indices in it, and each row's
+    multiplicity ``counts`` (int64)."""
     cards = tuple(map(len, alphabets))
-    codes, counts = np.unique(_encode(digits, cards), return_counts=True)
-    return _from_support(cards, codes, counts / len(digits[0]), cfg)
+    codes, inverse = np.unique(_encode(digits, cards), return_inverse=True)
+    return _from_support(cards, codes,
+                         np.bincount(inverse, weights=counts) / counts.sum(),
+                         cfg)
 
 
 def infer_alphabets(rows: Sequence[Sequence[object]]) -> list[list[object]]:
@@ -881,4 +891,6 @@ def estimate_from_samples(
     applied.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    return _count_states(*_index_samples(rows), cfg)
+    alphabets, digits = _index_samples(rows)
+    return _count_states(alphabets, digits,
+                         np.ones(len(digits[0]), np.int64), cfg)

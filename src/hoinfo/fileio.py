@@ -22,9 +22,17 @@ observation. A column whose every cell parses as an integer is read as
 integers; otherwise its cells stay strings. In an all-integer column,
 cells that spell the same integer are one symbol: "01", "1" and "+1" are
 all the integer 1. A column with any non-integer cell keeps "01" and "1"
-apart. The reader indexes each column once: it sorts the column's symbols
-into its alphabet and returns every cell as its symbol's index there, the
-indices the estimator counts. ``int`` runs once per distinct cell text.
+apart. The reader counts the text's lines first and parses and indexes
+each distinct line once, as one row whose multiplicity is the line's
+count; rows keep the order in which their lines first appear, so a line
+that cannot be parsed fails as it would in a record-by-record read. The
+header is the first non-blank line, and each later line that repeats it
+is a data row. Text that holds a ``"`` is parsed record by record, each
+record a row of multiplicity 1, because a quoted cell may span lines;
+without one, no csv state crosses a line end. Each column is indexed
+once: its symbols are sorted into its alphabet and every cell is returned
+as its symbol's index there, the indices the estimator counts. ``int``
+runs once per distinct cell text.
 Text the ``csv`` module cannot parse, a repeated column name, or a header
 whose width is not the rows' raises
 :class:`~hoinfo.errors.MalformedInputError`, and empty text
@@ -39,6 +47,7 @@ import csv
 import io
 import json
 from collections import Counter
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -107,28 +116,41 @@ def loads_distribution(
 
 def parse_samples_csv(
     text: str,
-) -> tuple[list[str], list[list], list[np.ndarray]]:
+) -> tuple[list[str], list[list], list[np.ndarray], np.ndarray]:
     """Read a samples CSV into (variable names, the sorted alphabet of each
-    column, each column's int64 indices of its cells in that alphabet)."""
+    column, each column's int64 indices of its cells in that alphabet, and
+    each row's int64 multiplicity): one row per distinct line."""
     try:
-        table = [row for row in csv.reader(io.StringIO(text)) if row]
+        if '"' in text:
+            # only a quoted field carries csv state from one line to the
+            # next, so text with a quote is parsed record by record
+            records = list(csv.reader(io.StringIO(text)))
+            counts = [1] * len(records)
+        else:
+            lines = Counter(text.split("\n"))
+            records, counts = list(csv.reader(lines)), list(lines.values())
     except csv.Error as exc:
         raise MalformedInputError(f"samples CSV cannot be parsed: {exc}") from None
-    if not table:
+    counts = list(compress(counts, records))  # blank records are skipped
+    rows = list(compress(records, records))
+    if not rows:
         raise EmptyInputError("samples CSV is empty")
-    header, *raw_rows = table
+    header = rows[0]
     repeated = sorted(name for name, n in Counter(header).items() if n > 1)
     if repeated:
         raise MalformedInputError(
             f"samples CSV repeats the column names {repeated}"
         )
-    alphabets, digits = _index_samples(raw_rows, _cell_symbols)
+    counts[0] -= 1  # the header's first line; a later repeat is a data row
+    if not counts[0]:
+        del rows[0], counts[0]
+    alphabets, digits = _index_samples(rows, _cell_symbols)
     if len(alphabets) != len(header):
         raise MalformedInputError(
             f"samples CSV header has width {len(header)}, "
             f"its rows width {len(alphabets)}"
         )
-    return header, alphabets, digits
+    return header, alphabets, digits, np.array(counts, np.int64)
 
 
 def _cell_symbols(texts: set[str]) -> dict:

@@ -62,12 +62,14 @@ def count_profile_kernels(monkeypatch) -> list[tuple[str, int]]:
 
 
 def samples_csv_rows(text: str) -> tuple[list[str], list[tuple]]:
-    """(names, observation rows) of a samples CSV, each row rebuilt from
-    the alphabets and symbol indices that ``parse_samples_csv`` returns."""
-    names, alphabets, digits = parse_samples_csv(text)
+    """(names, observation rows) of a samples CSV, each distinct row rebuilt
+    from the alphabets and symbol indices that ``parse_samples_csv``
+    returns and repeated by its count."""
+    names, alphabets, digits, counts = parse_samples_csv(text)
     columns = [[alphabet[i] for i in d.tolist()]
                for alphabet, d in zip(alphabets, digits)]
-    return names, list(zip(*columns))
+    return names, [row for row, n in zip(zip(*columns), counts.tolist())
+                   for _ in range(n)]
 
 
 def random_suite(count: int, master_seed: int = 20240817,

@@ -188,36 +188,73 @@ cells = st.sampled_from([
 ])
 
 
+newlines = st.sampled_from(["\n", "\r\n"])
+
+
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), arity=st.integers(1, 4),
-       newline=st.sampled_from(["\n", "\r\n"]))
-def test_csv_columns_match_cellwise_reader_and_counts(data, arity, newline):
+@given(data=st.data(), arity=st.integers(1, 4))
+def test_csv_columns_match_cellwise_reader_and_counts(data, arity):
     # quoted cells hold commas, newlines and doubled quotes; some integers
-    # do not fit int64; blank lines may fall between any two lines
+    # do not fit int64; each line ends in its own newline; blank lines may
+    # come before the header and between any two lines; the header may
+    # repeat as a data row
     pools = [data.draw(st.lists(cells, min_size=1, max_size=4, unique=True))
              for _ in range(arity)]
     rows = data.draw(st.lists(
         st.tuples(*[st.sampled_from(pool) for pool in pools]),
         min_size=1, max_size=40))
+    header = [f"v{j}" for j in range(arity)]
+    if data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), tuple(header))
     lines = io.StringIO()
-    writer = csv.writer(lines, lineterminator=newline)
-    for row in [[f"v{j}" for j in range(arity)], *rows]:
-        writer.writerow(row)
-        lines.write(newline * data.draw(st.integers(0, 1)))
+    lines.write(data.draw(newlines) * data.draw(st.integers(0, 1)))
+    for row in [header, *rows]:
+        csv.writer(lines, lineterminator=data.draw(newlines)).writerow(row)
+        lines.write(data.draw(newlines) * data.draw(st.integers(0, 1)))
     text = lines.getvalue()
     names, typed = support.samples_csv_rows(text)
-    assert (names, typed) == cellwise_parse(text)
-    assert [list(map(type, r)) for r in typed] == [
-        list(map(type, r)) for r in cellwise_parse(text)[1]]
-    _, alphabets, digits = parse_samples_csv(text)
+    cellwise_names, cellwise = cellwise_parse(text)
+    assert names == cellwise_names
+    assert collections.Counter(typed) == collections.Counter(cellwise)
+    assert collections.Counter(tuple(map(type, r)) for r in typed) == (
+        collections.Counter(tuple(map(type, r)) for r in cellwise))
+    _, alphabets, digits, multiplicity = parse_samples_csv(text)
     assert alphabets == infer_alphabets(typed)
     assert alphabets == [sorted({r[j] for r in typed}) for j in range(arity)]
     counts = collections.Counter(
         tuple(a.index(s) for a, s in zip(alphabets, r)) for r in typed)
     expected = {s: c / len(typed) for s, c in sorted(counts.items())}
     assert dict(estimate_from_samples(typed).items()) == expected
-    assert dict(_count_states(alphabets, digits,
+    assert dict(_count_states(alphabets, digits, multiplicity,
                               DEFAULT_CONFIG).items()) == expected
+
+
+# Samples CSVs with the alphabets and masses the record-by-record reader
+# gives them. Text without a quote is read one distinct line at a time; the
+# one quoted cell of "one_quoted_cell" sends it record by record, and its
+# unquoted twin must read the same.
+TWIN_READ = ([[0, 1], [0, 1]], {(0, 1): 2 / 3, (1, 0): 1 / 3})
+SAMPLES_CSV_CASES = {
+    "header_repeated_as_a_row": (
+        "x,y\nx,y\n0,1\n",
+        ([["0", "x"], ["1", "y"]], {(0, 0): 0.5, (1, 1): 0.5})),
+    "blank_lines_before_the_header_and_between_rows": (
+        "\n\r\nx,y\n0,1\n\n1,0\n\r\n\n0,1\n", TWIN_READ),
+    "mixed_line_endings": (
+        "x,y\r\n0,1\n0,1\r\n1,1\n1,0\r\n0,1",
+        ([[0, 1], [0, 1]], {(0, 1): 0.6, (1, 0): 0.2, (1, 1): 0.2})),
+    "one_quoted_cell": ('x,y\n"0",1\n0,1\n1,0\n', TWIN_READ),
+    "unquoted_twin": ("x,y\n0,1\n0,1\n1,0\n", TWIN_READ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLES_CSV_CASES))
+def test_samples_csv_cases_read_as_the_record_reader_does(case):
+    text, (alphabets, masses) = SAMPLES_CSV_CASES[case]
+    names, got, digits, multiplicity = parse_samples_csv(text)
+    assert (names, got) == (["x", "y"], alphabets)
+    assert dict(_count_states(got, digits, multiplicity,
+                              DEFAULT_CONFIG).items()) == masses
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +272,10 @@ INPUT_FAULTS = {
                                       MalformedInputError),
     "csv_rows_wider_than_header": (".csv", "x\n0,1\n1,0\n",
                                    MalformedInputError),
+    "csv_bare_cr_inside_a_line": (".csv", "x\n0\r1\n", MalformedInputError),
+    "csv_field_over_the_limit_after_1000_lines": (
+        ".csv", "x\n" + "0\n1\n" * 500 + "1" * 131073 + "\n",
+        MalformedInputError),
     "json_not_an_object": (".json", "[2, 2]", MalformedInputError),
     "json_no_cardinalities": (
         ".json", '{"entries": [{"state": [0], "p": 1.0}]}', EmptyInputError),
@@ -248,6 +289,24 @@ INPUT_FAULTS = {
 }
 
 
+def csv_module_error(text):
+    """The message of the csv module's error on reading ``text`` record by
+    record, as the samples CSV reader reports it."""
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return f"samples CSV cannot be parsed: {exc}"
+    raise AssertionError("the csv module reads the text")
+
+
+# Faults the csv module raises, read one distinct line at a time. The CLI
+# opens a file in universal-newline mode, which ends a line at a bare "\r",
+# so only the reader is given the first.
+CSV_MODULE_FAULTS = ("csv_bare_cr_inside_a_line",
+                     "csv_field_over_the_limit_after_1000_lines")
+READER_ONLY_FAULTS = ("csv_bare_cr_inside_a_line",)
+
+
 @pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
 def test_malformed_input_raises_its_error_and_exits_1(tmp_path, capsys, case):
     suffix, text, error = INPUT_FAULTS[case]
@@ -255,6 +314,10 @@ def test_malformed_input_raises_its_error_and_exits_1(tmp_path, capsys, case):
     with pytest.raises(HoinfoError) as caught:
         read(text)
     assert type(caught.value) is error
+    if case in CSV_MODULE_FAULTS:
+        assert str(caught.value) == csv_module_error(text)
+    if case in READER_ONLY_FAULTS:
+        return
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)
     assert main(["measures", "--input", str(path)]) == 1
