@@ -3,7 +3,9 @@
 Four subcommands: ``measures`` and ``spectrum`` ingest a distribution
 (JSON file, samples CSV, or an inline generator) and emit a run report;
 ``gen`` emits a generated distribution in the distribution JSON format;
-``batch`` runs a manifest of inputs and streams one report per line.
+``batch`` runs a manifest of inputs and writes one report per line, in
+manifest order; with ``--jobs N`` its items run in worker processes
+(forked), capped at the item count and the CPU count.
 
 Exit codes: 0 on success, 1 on parse/validation failure, 2 when a measure
 is requested on a system with fewer than two variables. Diagnostics go to
@@ -13,9 +15,11 @@ standard error; reports go to standard output.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
+import gc
+import itertools
 import json
+import os
 import sys
 from typing import Mapping, Sequence
 
@@ -80,15 +84,31 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec | None:
     )
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``"-"``, with its
+    line endings as written: the samples CSV reader, not universal-newline
+    translation, decides what a ``"\\r"`` means."""
+    if path != "-":
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    stdin = sys.stdin
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is None:  # a text stream with no bytes below it
+        return stdin.read()
+    return buffer.read().decode(stdin.encoding, stdin.errors)
+
+
 def _load_input(
     gen_spec: GeneratorSpec | None,
     path: str | None,
     fmt: str,
     normalize: bool,
     config: EstimatorConfig,
+    text: str | None = None,
 ) -> tuple[JointDistribution, str, dict | None]:
     """Generate ``gen_spec``, or read the distribution JSON or samples CSV
     file at ``path`` (``"-"`` reads stdin); exactly one must be given.
+    ``text``, when given, is the text of ``path``, already read.
 
     Returns (distribution, provenance descriptor, alphabet mapping or None).
     """
@@ -99,11 +119,9 @@ def _load_input(
         )
     if gen_spec is not None:
         return generate(gen_spec, config), gen_spec.describe(), None
-    if path == "-":
-        text, descriptor = sys.stdin.read(), "stdin"
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text, descriptor = handle.read(), path
+    descriptor = "stdin" if path == "-" else path
+    if text is None:
+        text = _read_text(path)
     if fmt == "auto":
         fmt = sniff_format(descriptor, text)
     if fmt == FORMAT_DIST_JSON:
@@ -241,8 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         "batch", help="run a JSON manifest of inputs, one report per line")
     p_batch.add_argument("manifest", help="path to the manifest JSON list")
     p_batch.add_argument("--jobs", type=int, default=1,
-                         help="worker threads (default 1); output order and "
-                              "content do not depend on this")
+                         help="worker processes (forked), capped at the item "
+                              "count and the CPU count (default 1: run in "
+                              "process); output order and content do not "
+                              "depend on this")
     p_batch.add_argument("--spectrum", action="store_true",
                          help="include the spectrum in every report")
     p_batch.add_argument("--normalize", action="store_true")
@@ -284,15 +304,24 @@ _ITEM_TYPES = {"gen": Mapping, "input": str, "format": str, "normalize": bool,
                "spectrum": bool}
 
 
+def _wrong_item_values(item: Mapping) -> dict:
+    """The unknown keys of a manifest item and the keys whose value has the
+    wrong type, with their values."""
+    return {key: value for key, value in item.items()
+            if not isinstance(value, _ITEM_TYPES.get(key, ()))}
+
+
 def _batch_item_report(
-    item: Mapping, args: argparse.Namespace, config: EstimatorConfig
+    item: Mapping,
+    args: argparse.Namespace,
+    config: EstimatorConfig,
+    stdin_text: str | None,
 ) -> dict:
     if not isinstance(item, Mapping):
         raise MalformedInputError(
             f"manifest item must be a JSON object, got {item!r}"
         )
-    wrong = {key: value for key, value in item.items()
-             if not isinstance(value, _ITEM_TYPES.get(key, ()))}
+    wrong = _wrong_item_values(item)
     if wrong:
         raise MalformedInputError(
             f"unknown manifest item keys or values of the wrong type: {wrong}; "
@@ -306,9 +335,102 @@ def _batch_item_report(
             item.get("format", "auto"),
             item.get("normalize", args.normalize),
             config,
+            stdin_text,
         ),
         include_spectrum=item.get("spectrum", args.spectrum),
     )
+
+
+def _reads_stdin(item: object) -> bool:
+    """Whether :func:`_batch_item_report` gets as far as reading stdin for
+    ``item``: a valid object that names ``"-"`` and no generator."""
+    return (isinstance(item, Mapping) and "gen" not in item
+            and item.get("input") == "-" and not _wrong_item_values(item))
+
+
+def _stdin_texts(manifest: list) -> list[str | None]:
+    """The stdin text of each manifest item, None for an item that does not
+    read stdin. Stdin is read here, once, and only if an item reads it; the
+    first such item gets the text and each later one the empty text, as
+    reading the stream item by item in manifest order gives them."""
+    texts = ["" if _reads_stdin(item) else None for item in manifest]
+    if "" in texts:
+        texts[texts.index("")] = _read_text("-")
+    return texts
+
+
+def _batch_line(
+    index: int,
+    item: object,
+    stdin_text: str | None,
+    args: argparse.Namespace,
+    config: EstimatorConfig,
+) -> tuple[bool, str]:
+    """Whether manifest item ``index`` failed, and its output line. The
+    item's exception becomes its error line here, so no exception object
+    has to cross from a worker process to the parent."""
+    try:
+        report = _batch_item_report(item, args, config, stdin_text)
+    except Exception as exc:  # noqa: BLE001 - reported inline per item
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        return True, json.dumps({"item": index, "error": error})
+    return False, json.dumps(report)
+
+
+def _worker_count(jobs: int, items: int, cpus: int) -> int:
+    """Worker processes for a batch: no more than ``--jobs`` asks for, than
+    there are items or than there are CPUs, and at least one."""
+    return max(1, min(jobs, items, cpus))
+
+
+def _place_worker(cpus) -> None:
+    """Move this worker process to the CPU it takes from the queue ``cpus``,
+    then let it run on any allowed CPU again. A forked child starts on its
+    parent's CPU; where the kernel does not move it to an idle CPU, as on
+    some virtual machines, every worker would share that one CPU."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpus.get()})
+    os.sched_setaffinity(0, allowed)
+
+
+def _fork_batch_lines(context, workers: int,
+                      columns: tuple) -> list[tuple[bool, str]]:
+    """:func:`_batch_line` of each item, in manifest order, run in
+    ``workers`` processes forked from this one by the multiprocessing
+    ``context``. The workers inherit the imported modules."""
+    import concurrent.futures
+
+    place = {}
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        queue = context.SimpleQueue()
+        for index in range(workers):
+            queue.put(cpus[index % len(cpus)])
+        place = {"initializer": _place_worker, "initargs": (queue,)}
+    # a worker's collections then skip the objects it inherits, so they
+    # neither take its time nor copy the memory pages that hold them
+    gc.freeze()
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=context, **place) as pool:
+            return list(pool.map(_batch_line, *columns))
+    except concurrent.futures.process.BrokenProcessPool as exc:
+        raise OSError(f"a batch worker process ended abruptly: {exc}") from None
+    finally:
+        gc.unfreeze()
+
+
+def _run_batch_lines(workers: int, columns: tuple) -> list[tuple[bool, str]]:
+    """:func:`_batch_line` of each item, in manifest order: in forked
+    worker processes if ``workers`` > 1 and fork is available, else in
+    this process."""
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _fork_batch_lines(multiprocessing.get_context("fork"),
+                                     workers, columns)
+    return list(map(_batch_line, *columns))
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -318,20 +440,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not isinstance(manifest, list):
         raise InvalidOrderError("manifest must be a JSON list of items")
 
-    results: list[dict] = []
+    columns = (range(len(manifest)), manifest, _stdin_texts(manifest),
+               itertools.repeat(args), itertools.repeat(config))
+    workers = _worker_count(args.jobs, len(manifest), os.cpu_count() or 1)
     failed = False
-    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        futures = [pool.submit(_batch_item_report, item, args, config)
-                   for item in manifest]
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - reported inline per item
-                failed = True
-                error = {"type": type(exc).__name__, "message": str(exc)}
-                results.append({"item": index, "error": error})
-    for report in results:
-        sys.stdout.write(json.dumps(report))
+    for item_failed, line in _run_batch_lines(workers, columns):
+        failed |= item_failed
+        sys.stdout.write(line)
         sys.stdout.write("\n")
     return 1 if failed else 0
 

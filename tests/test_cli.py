@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hoinfo.cli
 import support
 from hoinfo import giant_bit, measure_report, parity
 from hoinfo.cli import main
@@ -190,6 +194,15 @@ def test_samples_csv_ingestion_reports_mapping(tmp_path, capsys):
     assert report["measures"]["dual_total_correlation"] == 2.0
 
 
+def test_quoted_csv_cell_keeps_its_carriage_return(tmp_path, capsys):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_bytes(b'x,y\r\n"a\r\nb",0\r\nc,1\r\n')
+    code, out, _ = run_cli(capsys, ["measures", "--input", str(csv_path)])
+    assert code == 0
+    assert json.loads(out)["alphabet_mapping"] == {"x": ["a\r\nb", "c"],
+                                                   "y": [0, 1]}
+
+
 def test_unparseable_csv_exits_1_and_fails_its_batch_item(tmp_path, capsys):
     # one cell past the csv module's 131072-character field limit
     bad = tmp_path / "bad.csv"
@@ -299,6 +312,105 @@ def test_batch_output_is_independent_of_jobs(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def run_cli_process(argv, cwd, stdin="", prelude=""):
+    """Run the CLI in a child interpreter with ``stdin`` piped to it; the
+    ``prelude`` runs in that interpreter before ``main``."""
+    src = str(Path(hoinfo.__file__).resolve().parents[1])
+    code = f"{prelude}\nimport sys\nfrom hoinfo.cli import main\nsys.exit(main({argv!r}))"
+    return subprocess.run(
+        [sys.executable, "-c", code], input=stdin.encode(), cwd=cwd,
+        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120)
+
+
+def test_batch_stdin_items_are_independent_of_jobs(tmp_path):
+    # the first item never reads stdin; the second reads all of it and the
+    # last finds it empty, as when the items read it one after another
+    (tmp_path / "manifest.json").write_text(json.dumps([
+        {"input": "-", "spectrum": "yes"},
+        {"input": "-", "format": "samples-csv"},
+        {"gen": PARITY3},
+        {"input": "-", "format": "samples-csv"},
+    ]))
+    stdin = 'x,y\n"a\r\nb",0\nc,1\n'
+    runs = [run_cli_process(["batch", "manifest.json", "--jobs", jobs],
+                            tmp_path, stdin) for jobs in ("1", "2")]
+    assert [run.returncode for run in runs] == [1, 1]
+    assert runs[0].stdout == runs[1].stdout
+    wrong, read, generated, empty = map(json.loads, runs[0].stdout.splitlines())
+    assert wrong["error"]["type"] == "MalformedInputError"
+    assert read["input_descriptor"] == "stdin"
+    assert read["alphabet_mapping"]["x"] == ["a\r\nb", "c"]
+    assert "error" not in generated
+    assert empty["error"] == {"type": "EmptyInputError",
+                              "message": "samples CSV is empty"}
+
+
+def test_batch_errors_are_independent_of_jobs(tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"gen": PARITY3},
+        {"input": str(tmp_path / "missing.json")},
+        5,
+        {"gen": PARITY3, "spectrum": 1},
+        {"gen": {"kind": "giant_bit", "order": 2}, "spectrum": True},
+    ]))
+    runs = []
+    for jobs in ("1", "2"):
+        runs.append(run_cli(capsys, ["batch", str(manifest), "--jobs", jobs]))
+        assert multiprocessing.active_children() == []
+    # where fork is not available, the items run in process
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    runs.append(run_cli(capsys, ["batch", str(manifest), "--jobs", "2"]))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 1
+    errors = [json.loads(line).get("error") for line in runs[0][1].splitlines()]
+    assert [error and error["type"] for error in errors] == [
+        None, "FileNotFoundError", "MalformedInputError",
+        "MalformedInputError", None]
+
+
+@pytest.mark.parametrize("jobs,items,cpus,workers", [
+    (1, 48, 2, 1), (2, 48, 2, 2), (8, 48, 2, 2), (10000, 48, 64, 48),
+    (10000, 3, 64, 3), (4, 48, 64, 4), (0, 48, 2, 1), (-3, 48, 2, 1),
+    (2, 0, 2, 1),
+])
+def test_batch_worker_count_is_capped(jobs, items, cpus, workers):
+    assert hoinfo.cli._worker_count(jobs, items, cpus) == workers
+
+
+def test_text_written_before_batch_appears_once(tmp_path):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"gen": PARITY3}, {"gen": PARITY3}]))
+    run = run_cli_process(["batch", "manifest.json", "--jobs", "2"], tmp_path,
+                          prelude="print('before')")
+    assert run.returncode == 0
+    assert run.stdout.decode().split("\n")[0] == "before"
+    assert run.stdout.count(b"before") == 1
+    assert run.stdout.count(b"\n") == 3
+
+
+def test_dead_batch_worker_exits_1_without_traceback(tmp_path, capsys,
+                                                     monkeypatch):
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        raise AssertionError("the item ran in the parent process")
+
+    monkeypatch.setattr(hoinfo.cli, "_batch_item_report", die)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"gen": PARITY3}, {"gen": PARITY3}]))
+    code, out, err = run_cli(capsys, ["batch", str(manifest), "--jobs", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("hoinfo: error: a batch worker process ended ")
+    assert err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_base_flag_changes_units(capsys):

@@ -299,12 +299,9 @@ def csv_module_error(text):
     raise AssertionError("the csv module reads the text")
 
 
-# Faults the csv module raises, read one distinct line at a time. The CLI
-# opens a file in universal-newline mode, which ends a line at a bare "\r",
-# so only the reader is given the first.
+# Faults the csv module raises, read one distinct line at a time.
 CSV_MODULE_FAULTS = ("csv_bare_cr_inside_a_line",
                      "csv_field_over_the_limit_after_1000_lines")
-READER_ONLY_FAULTS = ("csv_bare_cr_inside_a_line",)
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
@@ -316,8 +313,6 @@ def test_malformed_input_raises_its_error_and_exits_1(tmp_path, capsys, case):
     assert type(caught.value) is error
     if case in CSV_MODULE_FAULTS:
         assert str(caught.value) == csv_module_error(text)
-    if case in READER_ONLY_FAULTS:
-        return
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)
     assert main(["measures", "--input", str(path)]) == 1
