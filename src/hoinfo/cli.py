@@ -5,7 +5,9 @@ Four subcommands: ``measures`` and ``spectrum`` ingest a distribution
 ``gen`` emits a generated distribution in the distribution JSON format;
 ``batch`` runs a manifest of inputs and writes one report per line, in
 manifest order; with ``--jobs N`` its items run in worker processes
-(forked), capped at the item count and the CPU count.
+(forked), capped at the item count and the CPU count. A manifest that
+names stdin (``"-"``) runs in process, and its items read the stream in
+manifest order.
 
 Exit codes: 0 on success, 1 on parse/validation failure, 2 when a measure
 is requested on a system with fewer than two variables. Diagnostics go to
@@ -15,6 +17,7 @@ standard error; reports go to standard output.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import gc
 import itertools
@@ -104,11 +107,9 @@ def _load_input(
     fmt: str,
     normalize: bool,
     config: EstimatorConfig,
-    text: str | None = None,
 ) -> tuple[JointDistribution, str, dict | None]:
     """Generate ``gen_spec``, or read the distribution JSON or samples CSV
     file at ``path`` (``"-"`` reads stdin); exactly one must be given.
-    ``text``, when given, is the text of ``path``, already read.
 
     Returns (distribution, provenance descriptor, alphabet mapping or None).
     """
@@ -120,8 +121,7 @@ def _load_input(
     if gen_spec is not None:
         return generate(gen_spec, config), gen_spec.describe(), None
     descriptor = "stdin" if path == "-" else path
-    if text is None:
-        text = _read_text(path)
+    text = _read_text(path)
     if fmt == "auto":
         fmt = sniff_format(descriptor, text)
     if fmt == FORMAT_DIST_JSON:
@@ -188,10 +188,12 @@ def _emit_report(report: dict, output: str, stream) -> None:
         stream.write(json.dumps(report, indent=2))
         stream.write("\n")
         return
-    stream.write("field,value\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("field", "value"))
     for field, value in _report_csv_rows(report):
-        text = repr(value) if isinstance(value, float) else str(value)
-        stream.write(f"{field},{'' if value is None else text}\n")
+        # a float by repr; the writer leaves None as the empty cell
+        writer.writerow(
+            (field, repr(value) if isinstance(value, float) else value))
 
 
 def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
@@ -261,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="worker processes (forked), capped at the item "
                               "count and the CPU count (default 1: run in "
-                              "process); output order and content do not "
+                              "process); a manifest naming '-' runs in "
+                              "process, its items reading stdin in manifest "
+                              "order; output order and content do not "
                               "depend on this")
     p_batch.add_argument("--spectrum", action="store_true",
                          help="include the spectrum in every report")
@@ -304,24 +308,17 @@ _ITEM_TYPES = {"gen": Mapping, "input": str, "format": str, "normalize": bool,
                "spectrum": bool}
 
 
-def _wrong_item_values(item: Mapping) -> dict:
-    """The unknown keys of a manifest item and the keys whose value has the
-    wrong type, with their values."""
-    return {key: value for key, value in item.items()
-            if not isinstance(value, _ITEM_TYPES.get(key, ()))}
-
-
 def _batch_item_report(
     item: Mapping,
     args: argparse.Namespace,
     config: EstimatorConfig,
-    stdin_text: str | None,
 ) -> dict:
     if not isinstance(item, Mapping):
         raise MalformedInputError(
             f"manifest item must be a JSON object, got {item!r}"
         )
-    wrong = _wrong_item_values(item)
+    wrong = {key: value for key, value in item.items()
+             if not isinstance(value, _ITEM_TYPES.get(key, ()))}
     if wrong:
         raise MalformedInputError(
             f"unknown manifest item keys or values of the wrong type: {wrong}; "
@@ -335,34 +332,14 @@ def _batch_item_report(
             item.get("format", "auto"),
             item.get("normalize", args.normalize),
             config,
-            stdin_text,
         ),
         include_spectrum=item.get("spectrum", args.spectrum),
     )
 
 
-def _reads_stdin(item: object) -> bool:
-    """Whether :func:`_batch_item_report` gets as far as reading stdin for
-    ``item``: a valid object that names ``"-"`` and no generator."""
-    return (isinstance(item, Mapping) and "gen" not in item
-            and item.get("input") == "-" and not _wrong_item_values(item))
-
-
-def _stdin_texts(manifest: list) -> list[str | None]:
-    """The stdin text of each manifest item, None for an item that does not
-    read stdin. Stdin is read here, once, and only if an item reads it; the
-    first such item gets the text and each later one the empty text, as
-    reading the stream item by item in manifest order gives them."""
-    texts = ["" if _reads_stdin(item) else None for item in manifest]
-    if "" in texts:
-        texts[texts.index("")] = _read_text("-")
-    return texts
-
-
 def _batch_line(
     index: int,
     item: object,
-    stdin_text: str | None,
     args: argparse.Namespace,
     config: EstimatorConfig,
 ) -> tuple[bool, str]:
@@ -370,7 +347,7 @@ def _batch_line(
     item's exception becomes its error line here, so no exception object
     has to cross from a worker process to the parent."""
     try:
-        report = _batch_item_report(item, args, config, stdin_text)
+        report = _batch_item_report(item, args, config)
     except Exception as exc:  # noqa: BLE001 - reported inline per item
         error = {"type": type(exc).__name__, "message": str(exc)}
         return True, json.dumps({"item": index, "error": error})
@@ -440,9 +417,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not isinstance(manifest, list):
         raise InvalidOrderError("manifest must be a JSON list of items")
 
-    columns = (range(len(manifest)), manifest, _stdin_texts(manifest),
-               itertools.repeat(args), itertools.repeat(config))
+    columns = (range(len(manifest)), manifest, itertools.repeat(args),
+               itertools.repeat(config))
     workers = _worker_count(args.jobs, len(manifest), os.cpu_count() or 1)
+    if any(isinstance(item, Mapping) and item.get("input") == "-"
+           for item in manifest):
+        # a forked worker's stdin is /dev/null: the items run here and read
+        # the stream in manifest order, the first reader taking all of it
+        workers = 1
     failed = False
     for item_failed, line in _run_batch_lines(workers, columns):
         failed |= item_failed

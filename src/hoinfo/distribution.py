@@ -299,12 +299,19 @@ def as_subset(indices: Iterable[int], n_vars: int) -> VariableSubset:
 
     Raises
     ------
+    MalformedInputError
+        If an index is not an integer (a bool is not one).
     EmptySubsetError
         If no indices are given.
     IndexOutOfRangeError
         If any index falls outside [0, n_vars).
     """
-    idx = sorted({int(i) for i in indices})
+    given = tuple(indices)
+    if not _all_of_type(given, _is_int_type):
+        raise MalformedInputError(
+            f"variable indices must be integers: {given!r}"
+        )
+    idx = sorted({int(i) for i in given})
     if not idx:
         raise EmptySubsetError("variable subset must be non-empty")
     if idx[0] < 0 or idx[-1] >= n_vars:
@@ -682,10 +689,7 @@ def leave_one_out(dist: JointDistribution, i: int) -> JointDistribution:
         raise SystemTooSmallError(
             "leave-one-out marginal requires at least 2 variables"
         )
-    if not 0 <= i < dist.n_vars:
-        raise IndexOutOfRangeError(
-            f"variable index {i} out of range for {dist.n_vars} variables"
-        )
+    (i,) = as_subset((i,), dist.n_vars)
     return marginalize(dist, (j for j in range(dist.n_vars) if j != i))
 
 

@@ -239,6 +239,10 @@ def random_distribution(
     grows the table approaches uniform. ``alphabet`` is either one shared
     cardinality or a per-variable sequence.
     """
+    if not (_is_int_type(type(seed)) and seed >= 0):
+        raise InvalidOrderError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
     cfg = config if config is not None else DEFAULT_CONFIG
     if n_vars < 1:
         raise InvalidOrderError(f"random system needs n_vars >= 1, got {n_vars}")
@@ -311,7 +315,8 @@ def generate(
         _require(spec.order is not None, "parity requires 'order'")
         return parity(spec.order, spec.alphabet, config)
     if spec.kind == "point_mass":
-        return point_mass(spec.n_vars if spec.n_vars else 1, spec.alphabet, config)
+        n_vars = 1 if spec.n_vars is None else spec.n_vars
+        return point_mass(n_vars, spec.alphabet, config)
     if spec.kind == "random_dirichlet_like":
         _require(spec.n_vars is not None, "random_dirichlet_like requires 'n_vars'")
         _require(spec.seed is not None, "random_dirichlet_like requires 'seed'")

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -373,6 +374,35 @@ def test_batch_errors_are_independent_of_jobs(tmp_path, capsys, monkeypatch):
         "MalformedInputError", None]
 
 
+def test_batch_naming_stdin_runs_in_process(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a batch worker process was started")
+
+    monkeypatch.setattr(hoinfo.cli, "_fork_batch_lines", fail)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"gen": PARITY3}, {"gen": PARITY3}]))
+    with pytest.raises(AssertionError, match="worker"):
+        main(["batch", str(manifest), "--jobs", "2"])
+    # the items read stdin in manifest order: the first reader takes it all
+    manifest.write_text(json.dumps([
+        {"gen": PARITY3},
+        {"input": "-", "format": "samples-csv"},
+        {"gen": PARITY3},
+        {"input": "-", "format": "samples-csv"},
+    ]))
+    runs = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x,y\n0,1\n1,0\n"))
+        runs.append(run_cli(capsys, ["batch", str(manifest), "--jobs", jobs]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1
+    lines = [json.loads(line) for line in runs[0][1].splitlines()]
+    assert lines[1]["input_descriptor"] == "stdin"
+    assert lines[1]["measures"]["total_correlation"] == 1.0
+    assert lines[3]["error"]["type"] == "EmptyInputError"
+
+
 @pytest.mark.parametrize("jobs,items,cpus,workers", [
     (1, 48, 2, 1), (2, 48, 2, 2), (8, 48, 2, 2), (10000, 48, 64, 48),
     (10000, 3, 64, 3), (4, 48, 64, 4), (0, 48, 2, 1), (-3, 48, 2, 1),
@@ -588,6 +618,18 @@ def test_gen_kind_spellings(capsys, spelling, kind):
     assert out.startswith(f"gen:{kind}(")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["gen", "--kind", "point-mass", "--n-vars", "0"], "n_vars"),
+    (["spectrum", "--gen", "point-mass", "--n-vars", "0"], "n_vars"),
+    (["gen", "--kind", "random", "--n-vars", "2", "--seed", "-1"], "seed"),
+    (["measures", "--gen", "random", "--n-vars", "2", "--seed", "-1"], "seed"),
+])
+def test_invalid_generator_value_exits_1(capsys, argv, name):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("hoinfo: error: ") and name in err
+
+
 def test_gen_unknown_kind_lists_spellings(capsys):
     code, out, err = run_cli(
         capsys, ["gen", "--kind", "independent-product", "--order", "2"])
@@ -736,12 +778,13 @@ def test_measures_and_spectrum_do_not_go_through_batch(capsys, monkeypatch):
 
 
 # Report bytes of `--output csv`, as written before the CSV rows were
-# derived from the JSON report.
+# derived from the JSON report, but for the quoting of a cell that holds a
+# comma.
 GOLDEN_CSV_MEASURES = """\
 field,value
 tool,hoinfo
 version,0.1.0
-input_descriptor,gen:parity(order=3, alphabet=2)
+input_descriptor,"gen:parity(order=3, alphabet=2)"
 n_vars,3
 cardinalities,2 2 2
 log_base,2.0
@@ -758,8 +801,8 @@ GOLDEN_CSV_SPECTRUM = """\
 field,value
 tool,hoinfo
 version,0.1.0
-input_descriptor,gen:random_dirichlet_like(n_vars=3, alphabet=2, seed=5, \
-concentration=1.0)
+input_descriptor,"gen:random_dirichlet_like(n_vars=3, alphabet=2, seed=5, \
+concentration=1.0)"
 n_vars,3
 cardinalities,2 2 2
 log_base,2.0
@@ -788,7 +831,7 @@ GOLDEN_CSV_POINT_MASS = """\
 field,value
 tool,hoinfo
 version,0.1.0
-input_descriptor,gen:point_mass(n_vars=2, alphabet=2)
+input_descriptor,"gen:point_mass(n_vars=2, alphabet=2)"
 n_vars,2
 cardinalities,2 2
 log_base,2.0
@@ -856,6 +899,23 @@ def test_csv_report_bytes(capsys, argv, golden):
     code, out, _ = run_cli(capsys, [*argv, "--output", "csv"])
     assert code == 0
     assert out == golden
+
+
+def test_csv_report_rows_are_two_csv_fields(tmp_path, capsys):
+    # a generator descriptor and an input path may hold commas
+    path = tmp_path / "parity, order 3.json"
+    path.write_text(run_cli(
+        capsys, ["gen", "--kind", "parity", "--order", "3", "--emit"])[1])
+    for argv, descriptor in (
+        (["spectrum", "--gen", "point-mass", "--n-vars", "2"],
+         "gen:point_mass(n_vars=2, alphabet=2)"),
+        (["measures", "--input", str(path)], str(path)),
+    ):
+        code, out, _ = run_cli(capsys, [*argv, "--output", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert {len(row) for row in rows} == {2}
+        assert dict(rows)["input_descriptor"] == descriptor
 
 
 def test_csv_report_bytes_of_samples_with_a_string_column(capsys,

@@ -209,6 +209,11 @@ def test_marginalize_validates_subset():
         marginalize(d, ())
     with pytest.raises(IndexOutOfRangeError):
         marginalize(d, (0, 3))
+    # an index that is not an integer is not rounded, truncated or parsed
+    for keep in ((1.5,), (0.7, True), (True,), ("0",), (0, 2.0)):
+        with pytest.raises(MalformedInputError):
+            marginalize(d, keep)
+    assert marginalize(d, (np.int64(0), np.int32(2))).n_vars == 2
 
 
 def test_marginalize_chain_matches_direct_exactly():
@@ -256,6 +261,15 @@ def test_leave_one_out_errors():
         leave_one_out(single, 0)
     with pytest.raises(IndexOutOfRangeError):
         leave_one_out(support.xor_triple(), 3)
+    with pytest.raises(IndexOutOfRangeError):
+        leave_one_out(support.xor_triple(), -1)
+    for i in (1.5, True, "0"):
+        with pytest.raises(MalformedInputError):
+            leave_one_out(support.xor_triple(), i)
+    # the system size is checked before the index
+    with pytest.raises(SystemTooSmallError):
+        leave_one_out(single, 1.5)
+    assert leave_one_out(support.xor_triple(), np.int64(1)).n_vars == 2
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,10 @@ def test_random_rejects_bad_parameters():
     cfg = EstimatorConfig(max_dense_states=16)
     with pytest.raises(TableTooLargeError):
         random_distribution(5, 2, seed=1, config=cfg)
+    for seed in (-1, 1.0, 2.5, True, "1", None):
+        with pytest.raises(InvalidOrderError, match="seed"):
+            random_distribution(2, 2, seed=seed)
+    assert random_distribution(2, 2, seed=np.int64(3)).n_vars == 2
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +328,10 @@ def test_generate_dispatch_and_missing_parameters():
         generate(GeneratorSpec(kind="random_dirichlet_like", n_vars=2))
     with pytest.raises(InvalidOrderError):
         generate(GeneratorSpec(kind="independent_product"))
+    # a missing n_vars is one variable; an n_vars of 0 is an error
+    assert generate(GeneratorSpec(kind="point_mass")).n_vars == 1
+    with pytest.raises(InvalidOrderError, match="n_vars"):
+        generate(spec_from_dict({"kind": "point_mass", "n_vars": 0}))
 
 
 def test_spec_from_dict_rejects_unknown_keys():

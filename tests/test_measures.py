@@ -13,6 +13,7 @@ from hoinfo import (
     EmptySubsetError,
     FunctionalNegativeError,
     FunctionalNonMonotoneError,
+    MalformedInputError,
     MeasureFunctional,
     OverlappingSubsetsError,
     SystemTooSmallError,
@@ -88,6 +89,11 @@ def test_mi_validates_subsets():
         mutual_information(d, (0, 1), (1, 2))
     with pytest.raises(EmptySubsetError):
         mutual_information(d, (), (1,))
+    for part in ((0.9,), (1.5,), (True,), ("0",)):
+        with pytest.raises(MalformedInputError):
+            mutual_information(d, part, (1,))
+        with pytest.raises(MalformedInputError):
+            mutual_information(d, (2,), part)
 
 
 # ---------------------------------------------------------------------------
