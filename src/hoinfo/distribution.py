@@ -98,6 +98,15 @@ VariableSubset = tuple[int, ...]
 _BLOCK = 1 << 15
 
 
+def _is_int_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_number_type(kind: type) -> bool:
+    return (issubclass(kind, (int, float, np.integer, np.floating))
+            and not issubclass(kind, bool))
+
+
 @dataclass(frozen=True, slots=True)
 class EstimatorConfig:
     """Numeric policy shared by construction and measures.
@@ -123,15 +132,23 @@ class EstimatorConfig:
     max_dense_states: int = 2**26
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.log_base < math.inf:
-            raise ValueError(
-                f"log_base must be finite and > 1, got {self.log_base}"
+        if not (_is_number_type(type(self.log_base))
+                and 1.0 < self.log_base < math.inf):
+            raise MalformedInputError(
+                f"log_base must be finite and > 1, got {self.log_base!r}"
             )
         tolerances = (self.normalization_tolerance, self.zero_tolerance)
-        if not all(0.0 <= tol < math.inf for tol in tolerances):
-            raise ValueError(f"tolerances must be finite and >= 0: {tolerances}")
-        if self.max_dense_states < 1:
-            raise ValueError("max_dense_states must be >= 1")
+        if not all(_is_number_type(type(tol)) and 0.0 <= tol < math.inf
+                   for tol in tolerances):
+            raise MalformedInputError(
+                f"tolerances must be finite and >= 0: {tolerances}"
+            )
+        if not (_is_int_type(type(self.max_dense_states))
+                and self.max_dense_states >= 1):
+            raise MalformedInputError(
+                f"max_dense_states must be an integer >= 1, "
+                f"got {self.max_dense_states!r}"
+            )
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -476,15 +493,6 @@ def _check_support_size(n_support: int, cfg: EstimatorConfig) -> None:
             f"sparse support of {n_support} states exceeds "
             f"max_dense_states={cfg.max_dense_states}"
         )
-
-
-def _is_int_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-
-
-def _is_number_type(kind: type) -> bool:
-    return (issubclass(kind, (int, float, np.integer, np.floating))
-            and not issubclass(kind, bool))
 
 
 def _all_of_type(values: Iterable[object], accept) -> bool:

@@ -11,7 +11,9 @@ The two canonical gadgets pin down the extremes of the order-k hierarchy:
   marginal has zero total correlation.
 
 All constructors are pure; randomness enters only through explicitly
-passed seeds.
+passed seeds. Every order, alphabet, n_vars and seed is an integer (numpy
+integers too, bools not) at or above its minimum; anything else raises
+:class:`InvalidOrderError` naming the argument.
 """
 
 from __future__ import annotations
@@ -156,6 +158,16 @@ def spec_from_dict(obj: Mapping) -> GeneratorSpec:
     )
 
 
+def _check_int(value: object, name: str, minimum: int) -> int:
+    """``value`` as a Python int if it has an integer type (a bool has not)
+    and is at least ``minimum``; otherwise :class:`InvalidOrderError`."""
+    if not (_is_int_type(type(value)) and value >= minimum):
+        raise InvalidOrderError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
+
+
 def giant_bit(
     order: int, alphabet: int = 2, config: EstimatorConfig | None = None
 ) -> JointDistribution:
@@ -164,10 +176,8 @@ def giant_bit(
     Uniform over the diagonal states (a, a, ..., a). Knowing any one
     variable determines all others.
     """
-    if order < 2:
-        raise InvalidOrderError(f"giant bit needs order >= 2, got {order}")
-    if alphabet < 2:
-        raise InvalidOrderError(f"giant bit needs alphabet >= 2, got {alphabet}")
+    order = _check_int(order, "giant bit order", 2)
+    alphabet = _check_int(alphabet, "giant bit alphabet", 2)
     cfg = config if config is not None else DEFAULT_CONFIG
     _check_support_size(alphabet, cfg)
     cards = (alphabet,) * order
@@ -185,10 +195,8 @@ def parity(
     variable leaves the remaining k-1 fully independent and uniform, so
     every leave-one-out marginal carries zero total correlation.
     """
-    if order < 2:
-        raise InvalidOrderError(f"parity needs order >= 2, got {order}")
-    if alphabet < 2:
-        raise InvalidOrderError(f"parity needs alphabet >= 2, got {alphabet}")
+    order = _check_int(order, "parity order", 2)
+    alphabet = _check_int(alphabet, "parity alphabet", 2)
     cfg = config if config is not None else DEFAULT_CONFIG
     n_inputs = alphabet ** (order - 1)
     _check_support_size(n_inputs, cfg)
@@ -207,10 +215,8 @@ def point_mass(
     The additive identity for independent composition; contributes nothing
     to any measure.
     """
-    if n_vars < 1:
-        raise InvalidOrderError(f"point mass needs n_vars >= 1, got {n_vars}")
-    if alphabet < 1:
-        raise InvalidOrderError(f"point mass needs alphabet >= 1, got {alphabet}")
+    n_vars = _check_int(n_vars, "point mass n_vars", 1)
+    alphabet = _check_int(alphabet, "point mass alphabet", 1)
     cfg = config if config is not None else DEFAULT_CONFIG
     cards = (alphabet,) * n_vars
     codes = _encode([np.zeros(1, dtype=np.int64)] * n_vars, cards)
@@ -237,29 +243,27 @@ def random_distribution(
 
     Small concentration concentrates mass on few states; as concentration
     grows the table approaches uniform. ``alphabet`` is either one shared
-    cardinality or a per-variable sequence.
+    cardinality or a per-variable sequence (tuple, list, range or 1-D
+    array). ``seed``, ``n_vars`` and every cardinality are integers (numpy
+    integers too, bools not), the seed >= 0 and the others >= 1;
+    ``concentration`` is a number > 0. Anything else raises
+    :class:`InvalidOrderError`.
     """
-    if not (_is_int_type(type(seed)) and seed >= 0):
-        raise InvalidOrderError(
-            f"seed must be a non-negative integer, got {seed!r}"
-        )
-    cfg = config if config is not None else DEFAULT_CONFIG
-    if n_vars < 1:
-        raise InvalidOrderError(f"random system needs n_vars >= 1, got {n_vars}")
-    if isinstance(alphabet, (int, np.integer)):
-        cards = (int(alphabet),) * n_vars
-    else:
-        cards = tuple(int(a) for a in alphabet)
+    seed = _check_int(seed, "random seed", 0)
+    n_vars = _check_int(n_vars, "random n_vars", 1)
+    if isinstance(alphabet, (tuple, list, range)) or np.ndim(alphabet) == 1:
+        cards = tuple(_check_int(a, "random cardinality", 1) for a in alphabet)
         if len(cards) != n_vars:
             raise InvalidOrderError(
                 f"got {len(cards)} cardinalities for {n_vars} variables"
             )
-    if any(c < 1 for c in cards):
-        raise InvalidOrderError(f"cardinalities must be >= 1: {cards}")
-    if not concentration > 0.0:
+    else:
+        cards = (_check_int(alphabet, "random alphabet", 1),) * n_vars
+    if not (_is_number_type(type(concentration)) and concentration > 0.0):
         raise InvalidOrderError(
-            f"concentration must be positive, got {concentration}"
+            f"concentration must be a positive number, got {concentration!r}"
         )
+    cfg = config if config is not None else DEFAULT_CONFIG
     n_states = math.prod(cards)
     if n_states > cfg.max_dense_states:
         raise TableTooLargeError(
@@ -309,28 +313,20 @@ def generate(
 ) -> JointDistribution:
     """Materialize a GeneratorSpec as a JointDistribution."""
     if spec.kind == "giant_bit":
-        _require(spec.order is not None, "giant_bit requires 'order'")
         return giant_bit(spec.order, spec.alphabet, config)
     if spec.kind == "parity":
-        _require(spec.order is not None, "parity requires 'order'")
         return parity(spec.order, spec.alphabet, config)
     if spec.kind == "point_mass":
         n_vars = 1 if spec.n_vars is None else spec.n_vars
         return point_mass(n_vars, spec.alphabet, config)
     if spec.kind == "random_dirichlet_like":
-        _require(spec.n_vars is not None, "random_dirichlet_like requires 'n_vars'")
-        _require(spec.seed is not None, "random_dirichlet_like requires 'seed'")
         return random_distribution(
             spec.n_vars, spec.alphabet, spec.seed, spec.concentration, config
         )
     # independent_product
-    _require(bool(spec.components), "independent_product requires 'components'")
+    if not spec.components:
+        raise InvalidOrderError("independent_product requires 'components'")
     return compose_independent(spec.components, config)
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise InvalidOrderError(message)
 
 
 def compose_independent(

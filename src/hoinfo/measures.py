@@ -32,6 +32,7 @@ from typing import Callable, Iterable
 from .distribution import (
     JointDistribution,
     _entropy_profile,
+    _is_int_type,
     _single_entropies,
     as_subset,
     entropy,
@@ -41,6 +42,7 @@ from .distribution import (
 from .errors import (
     FunctionalNegativeError,
     FunctionalNonMonotoneError,
+    MalformedInputError,
     OverlappingSubsetsError,
     SystemTooSmallError,
 )
@@ -185,7 +187,9 @@ def delta_k(dist: JointDistribution, k: int) -> float:
     k = 0 gives S, k = 1 gives D, k = 2 gives -O. For a system made
     entirely of order-k synergistic interactions the value is 0; positive
     values indicate interactions of order above k dominate, negative
-    values that lower orders dominate. Any integer k is accepted.
+    values that lower orders dominate. Any integer k is accepted (numpy
+    integers too); a k of another type, a bool included, raises
+    :class:`MalformedInputError`.
 
     Sign convention: the source paper's abstract words it the other way
     round (Delta^k < 0 read as domination by orders above k). This code
@@ -193,6 +197,7 @@ def delta_k(dist: JointDistribution, k: int) -> float:
     the closed form Delta^k = (N-k)*log2(a) of an N-variable parity over
     alphabet a, e.g. (4, 3, 2, 1, 0) bits for parity(4).
     """
+    k = _check_k(k)
     r = measure_report(dist)
     return r.s_information - k * r.total_correlation
 
@@ -202,8 +207,10 @@ def gamma_k(dist: JointDistribution, k: int) -> float:
 
     k = 0 gives S, k = 1 gives T, k = 2 gives O. Zero for a system made
     entirely of order-k redundant interactions (k identical copies of one
-    variable). Any integer k is accepted.
+    variable). Any integer k is accepted (numpy integers too); a k of another
+    type, a bool included, raises :class:`MalformedInputError`.
     """
+    k = _check_k(k)
     r = measure_report(dist)
     return r.s_information - k * r.dual_total_correlation
 
@@ -223,6 +230,7 @@ def generic_delta_k(
     records that it is assumed, not verified. Under the default warning
     filters it is shown once per functional and call site.
     """
+    k = _check_k(k)
     _require_multivariate(dist)
     tol = dist.config.zero_tolerance
     warnings.warn(
@@ -244,6 +252,14 @@ def generic_delta_k(
             )
         acc += f_i
     return (dist.n_vars - k) * f_joint - acc
+
+
+def _check_k(k: object) -> int:
+    """``k`` as a Python int; a k that is not of an integer type (a bool is
+    not one) raises :class:`MalformedInputError`."""
+    if not _is_int_type(type(k)):
+        raise MalformedInputError(f"k must be an integer, got {k!r}")
+    return int(k)
 
 
 def _checked_value(

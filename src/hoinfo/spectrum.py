@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .distribution import JointDistribution
 from .errors import IndexOutOfRangeError
-from .measures import MeasureReport, measure_report
+from .measures import MeasureReport, _check_k, measure_report
 
 
 class SignInterpretation(enum.Enum):
@@ -112,8 +112,10 @@ def sign_interpretation(spectrum: SpectrumResult, k: int) -> SignInterpretation:
 
     delta[k] above tolerance means interactions of order greater than k
     dominate; below negative tolerance, lower orders dominate; otherwise
-    the system is balanced at k (as pure order-k systems are).
+    the system is balanced at k (as pure order-k systems are). A k that is
+    not of an integer type raises :class:`MalformedInputError`.
     """
+    k = _check_k(k)
     if not 0 <= k <= spectrum.n_vars:
         raise IndexOutOfRangeError(
             f"k={k} outside the spectrum range 0..{spectrum.n_vars}"

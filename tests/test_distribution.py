@@ -134,6 +134,20 @@ def test_config_validation():
         EstimatorConfig(log_base=1.0)
     with pytest.raises(ValueError):
         EstimatorConfig(zero_tolerance=-1e-9)
+    for field, value in [("log_base", "2"), ("log_base", None),
+                         ("normalization_tolerance", "0"),
+                         ("zero_tolerance", None),
+                         ("max_dense_states", 2.5),
+                         ("max_dense_states", True),
+                         ("max_dense_states", 0)]:
+        # the tolerances share one message: "tolerances must be ..."
+        with pytest.raises(MalformedInputError,
+                           match=field.rsplit("_", 1)[-1]):
+            EstimatorConfig(**{field: value})
+    cfg = EstimatorConfig(log_base=np.float64(2.0), zero_tolerance=0,
+                          max_dense_states=np.int64(4))
+    assert build_distribution([2, 2, 2], [((0, 0, 0), 1.0)],
+                              cfg).representation == "sparse"
 
 
 @pytest.mark.parametrize("field,value", [

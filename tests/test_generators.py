@@ -87,6 +87,17 @@ def test_giant_bit_rejects_bad_parameters():
         giant_bit(1)
     with pytest.raises(InvalidOrderError):
         giant_bit(3, alphabet=1)
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(InvalidOrderError, match="giant bit order"):
+            giant_bit(bad)
+        with pytest.raises(InvalidOrderError, match="giant bit alphabet"):
+            giant_bit(3, bad)
+    assert (giant_bit(np.int64(3), np.int64(3)).dense_table().tobytes()
+            == giant_bit(3, 3).dense_table().tobytes())
+    # a numpy alphabet is a Python int before the state space is sized
+    wide = giant_bit(4, np.int64(2**16))
+    assert wide.representation == giant_bit(4, 2**16).representation == "sparse"
+    assert wide.cardinalities == (2**16,) * 4 and wide.support_size == 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +141,28 @@ def test_parity_rejects_bad_parameters():
         parity(1)
     with pytest.raises(InvalidOrderError):
         parity(3, alphabet=1)
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(InvalidOrderError, match="parity order"):
+            parity(bad)
+        with pytest.raises(InvalidOrderError, match="parity alphabet"):
+            parity(3, bad)
+    assert (parity(np.int64(4), np.int64(3)).dense_table().tobytes()
+            == parity(4, 3).dense_table().tobytes())
+    # 2**69 inputs: numpy integer arithmetic would overflow here
+    for order in (70, np.int64(70)):
+        with pytest.raises(TableTooLargeError):
+            parity(order)
+
+
+def test_point_mass_rejects_bad_parameters():
+    for bad in (0, 2.5, True, "3", None):
+        with pytest.raises(InvalidOrderError, match="point mass n_vars"):
+            point_mass(bad)
+    for bad in (0, 2.5, True, "3", None):
+        with pytest.raises(InvalidOrderError, match="point mass alphabet"):
+            point_mass(2, bad)
+    assert (point_mass(np.int64(3), np.int64(2)).dense_table().tobytes()
+            == point_mass(3, 2).dense_table().tobytes())
 
 
 def test_three_way_interaction_survives_one_marginalization():
@@ -211,6 +244,23 @@ def test_random_rejects_bad_parameters():
         with pytest.raises(InvalidOrderError, match="seed"):
             random_distribution(2, 2, seed=seed)
     assert random_distribution(2, 2, seed=np.int64(3)).n_vars == 2
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(InvalidOrderError, match="n_vars"):
+            random_distribution(bad, 2, seed=1)
+    for alphabet in (2.5, True, (2.7, 3), "23", None, (2, True)):
+        with pytest.raises(InvalidOrderError):
+            random_distribution(2, alphabet, seed=1)
+    for concentration in ("x", None, True, math.nan):
+        with pytest.raises(InvalidOrderError, match="concentration"):
+            random_distribution(2, 2, seed=1, concentration=concentration)
+    expected = random_distribution(2, (2, 3), seed=4).dense_table().tobytes()
+    for alphabet in ([2, 3], range(2, 4), np.array([2, 3]),
+                     (np.int64(2), np.int64(3))):
+        got = random_distribution(np.int64(2), alphabet, seed=np.int64(4))
+        assert got.dense_table().tobytes() == expected
+    assert (random_distribution(np.int64(3), np.int64(2), seed=5)
+            .dense_table().tobytes()
+            == random_distribution(3, 2, seed=5).dense_table().tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracle
@@ -279,6 +280,14 @@ def test_delta_accepts_any_integer_k():
     assert delta_k(d, -1) == 4.0  # S + T
     assert delta_k(d, 5) == -2.0
     assert gamma_k(d, -1) == 5.0  # S + D
+    for fn in (delta_k, gamma_k):
+        got = fn(d, np.int64(2))
+        assert type(got) is float and got == fn(d, 2)
+        for bad in (1.5, True, "2", None):
+            with pytest.raises(MalformedInputError, match="k must be"):
+                fn(d, bad)
+    with pytest.raises(MalformedInputError, match="k must be"):
+        generic_delta_k(tc_functional(), d, 1.5)
 
 
 # ---------------------------------------------------------------------------

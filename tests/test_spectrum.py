@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import support
@@ -7,6 +8,7 @@ from support import delta_k_via_tc, gamma_k_via_tc
 from hoinfo import (
     GeneratorSpec,
     IndexOutOfRangeError,
+    MalformedInputError,
     SignInterpretation,
     SystemTooSmallError,
     compose_independent,
@@ -126,6 +128,11 @@ def test_sign_interpretation_validates_k():
         sign_interpretation(sp, 4)
     with pytest.raises(IndexOutOfRangeError):
         sign_interpretation(sp, -1)
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(MalformedInputError, match="k must be"):
+            sign_interpretation(sp, bad)
+    assert (sign_interpretation(sp, np.int64(2))
+            is SignInterpretation.HIGHER_ORDER_DOMINATED)
 
 
 def test_spectrum_requires_two_variables():
