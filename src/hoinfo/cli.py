@@ -90,15 +90,20 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec | None:
 def _read_text(path: str) -> str:
     """The text of the file at ``path``, or of stdin for ``"-"``, with its
     line endings as written: the samples CSV reader, not universal-newline
-    translation, decides what a ``"\\r"`` means."""
-    if path != "-":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
-    stdin = sys.stdin
-    buffer = getattr(stdin, "buffer", None)
-    if buffer is None:  # a text stream with no bytes below it
-        return stdin.read()
-    return buffer.read().decode(stdin.encoding, stdin.errors)
+    translation, decides what a ``"\\r"`` means. Bytes that do not decode
+    raise :class:`MalformedInputError` naming the input."""
+    try:
+        if path != "-":
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                return handle.read()
+        stdin = sys.stdin
+        buffer = getattr(stdin, "buffer", None)
+        if buffer is None:  # a text stream with no bytes below it
+            return stdin.read()
+        return buffer.read().decode(stdin.encoding, stdin.errors)
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise MalformedInputError(f"{name} cannot be decoded: {exc}") from None
 
 
 def _load_input(
@@ -445,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemTooSmallError as exc:
         print(f"hoinfo: error: {exc}", file=sys.stderr)
         return 2
-    except (HoinfoError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (HoinfoError, ValueError, OSError) as exc:
         print(f"hoinfo: error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,11 @@ The writer's layout is pinned: byte for byte what ``json.dumps(obj,
 indent=2)`` writes for that object, with the support entries in ascending
 state order. Probabilities are emitted with full float64 fidelity
 (shortest round-tripping decimal form), so a write/read cycle reproduces
-every mass bit for bit.
+every mass bit for bit. Each line of an entry depends on one digit or on
+the mass alone, so the writer formats each distinct digit of a variable,
+and each distinct mass, once, and gathers the entries' text from those
+lines; the bytes stay those of ``json.dumps``. Text that is not JSON
+raises :class:`~hoinfo.errors.MalformedInputError`.
 
 Samples CSV: a header row of distinct variable names, then one row per
 observation. A column whose every cell parses as an integer is read as
@@ -55,6 +59,7 @@ import numpy as np
 from .distribution import (
     EstimatorConfig,
     JointDistribution,
+    _digits,
     _index_samples,
     build_distribution,
 )
@@ -67,16 +72,28 @@ FORMAT_SAMPLES_CSV = "samples-csv"
 def dumps_distribution(dist: JointDistribution) -> str:
     """Distribution JSON of ``dist``: the support in ascending state order,
     laid out byte for byte as ``json.dumps(obj, indent=2)`` lays out
-    ``{"cardinalities": [...], "entries": [{"state": [...], "p": ...}]}``."""
+    ``{"cardinalities": [...], "entries": [{"state": [...], "p": ...}]}``.
+
+    Each line of an entry's text is a function of one digit or of its mass,
+    so the body is an (entries x (N + 1)) array of pieces, each column
+    gathered from the distinct values' formatted text."""
     cards = ",\n".join(f"    {c}" for c in dist.cardinalities)
-    entry = (
-        '\n    {\n      "state": [\n'
-        + ",\n".join(["        %d"] * dist.n_vars)
-        + '\n      ],\n      "p": %r\n    }'
-    )
-    body = ",".join([entry % (*state, mass) for state, mass in dist.items()])
+    codes, masses = dist._support()
+    pieces = np.empty((len(codes), dist.n_vars + 1), object)
+    for i, digits in enumerate(_digits(codes, dist.cardinalities)):
+        opening = '\n    {\n      "state": [' if i == 0 else ","
+        pieces[:, i] = _formatted(opening + "\n        %d", digits)
+    pieces[:, -1] = _formatted('\n      ],\n      "p": %r\n    },', masses)
+    body = "".join(pieces.ravel().tolist())[:-1]  # no comma after the last
     return (f'{{\n  "cardinalities": [\n{cards}\n  ],\n'
             f'  "entries": [{body}\n  ]\n}}')
+
+
+def _formatted(template: str, values: np.ndarray) -> np.ndarray:
+    """``template % v`` for each of ``values`` (as a Python int or float),
+    as an object array; each distinct value is formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([template % v for v in distinct.tolist()], object)[inverse]
 
 
 def distribution_from_obj(
@@ -109,9 +126,16 @@ def loads_distribution(
     *,
     renormalize: bool = False,
 ) -> JointDistribution:
-    return distribution_from_obj(
-        json.loads(text), config, renormalize=renormalize
-    )
+    """Parse distribution JSON text, with full validation; text that is not
+    JSON, or that nests too deep for the parser, raises
+    :class:`~hoinfo.errors.MalformedInputError`."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInputError(
+            f"distribution JSON cannot be parsed: {exc}"
+        ) from None
+    return distribution_from_obj(obj, config, renormalize=renormalize)
 
 
 def parse_samples_csv(

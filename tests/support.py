@@ -260,3 +260,57 @@ def random_masses_by_argsort(n_states: int, seed: int,
             quanta[takeable] -= 1
             deficit -= takeable.size
     return quanta / float(target)
+
+
+# The measures as linear functionals of the entropy profile: integer
+# coefficient tuples over (H, H(X_1), ..., H(X_N), H(X^-1), ..., H(X^-N)).
+
+
+def profile_functional(n: int, joint: int, single: int,
+                       leave_one_out: int) -> tuple[int, ...]:
+    """Coefficient ``joint`` on H, ``single`` on each H(X_i) and
+    ``leave_one_out`` on each H(X^-i)."""
+    return (joint,) + (single,) * n + (leave_one_out,) * n
+
+
+def tc_vector(n: int) -> tuple[int, ...]:
+    """T = sum_i H(X_i) - H."""
+    return profile_functional(n, -1, 1, 0)
+
+
+def dtc_vector(n: int) -> tuple[int, ...]:
+    """D = H - sum_i (H - H(X^-i))."""
+    return profile_functional(n, 1 - n, 0, 1)
+
+
+def s_vector(n: int) -> tuple[int, ...]:
+    """S = T + D."""
+    return tuple(t + d for t, d in zip(tc_vector(n), dtc_vector(n)))
+
+
+def delta_vector(n: int, k: int) -> tuple[int, ...]:
+    """Delta^k = S - k*T."""
+    return tuple(s - k * t for s, t in zip(s_vector(n), tc_vector(n)))
+
+
+def gamma_vector(n: int, k: int) -> tuple[int, ...]:
+    """Gamma^k = S - k*D."""
+    return tuple(s - k * d for s, d in zip(s_vector(n), dtc_vector(n)))
+
+
+def conjugate(f: tuple[int, ...]) -> tuple[int, ...]:
+    """conj f = -f o psi, where psi(H(X_S)) = H(X) - H(X_{S^c}).
+
+    psi maps H to H - H(X_empty) = H, each H(X_i) to H - H(X^-i) and each
+    H(X^-i) to H - H(X_i). So f o psi has the sum of f's coefficients on
+    H, and on H(X^-i) the negated coefficient f has on H(X_i), and the
+    other way round; conj negates that."""
+    n = (len(f) - 1) // 2
+    singles, leave_one_out = f[1:n + 1], f[n + 1:]
+    return (-sum(f),) + leave_one_out + singles
+
+
+def evaluate(f: tuple[int, ...], profile) -> float:
+    """The functional ``f`` at an ``EntropyProfile``."""
+    values = (profile.joint, *profile.singles, *profile.leave_one_out)
+    return math.fsum(c * v for c, v in zip(f, values))

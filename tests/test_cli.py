@@ -219,6 +219,30 @@ def test_unparseable_csv_exits_1_and_fails_its_batch_item(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "MalformedInputError"
 
 
+def test_input_that_is_not_utf8_exits_1_and_fails_its_batch_item(
+        tmp_path, capsys, monkeypatch):
+    # a UTF-16 file with its byte order mark, and a truncated JSON document
+    utf16 = b"\xff\xfe" + '{"cardinalities": [2]}'.encode("utf-16-le")
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(utf16)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"cardinalities": [2], "entries": [{"sta')
+    code, out, err = run_cli(capsys, ["measures", "--input", str(bad)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hoinfo: error: {bad} cannot be decoded: ")
+    assert err.count("\n") == 1
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(utf16),
+                                                       encoding="utf-8"))
+    code, out, err = run_cli(capsys, ["measures", "--input", "-"])
+    assert (code, out) == (1, "")
+    assert err.startswith("hoinfo: error: stdin cannot be decoded: ")
+    errors = batch_errors(tmp_path, capsys,
+                          [{"input": str(bad)}, {"input": str(truncated)}])
+    assert [error["type"] for error in errors] == ["MalformedInputError"] * 2
+    assert errors[1]["message"].startswith(
+        "distribution JSON cannot be parsed: ")
+
+
 def test_csv_with_a_repeated_column_name_exits_1(tmp_path, capsys):
     bad = tmp_path / "repeated.csv"
     bad.write_text("x,y,x,z,y\n0,1,0,1,0\n")

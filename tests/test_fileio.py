@@ -55,12 +55,45 @@ WRITER_CASES = {
     "product_of_gadgets": lambda: product(parity(3), giant_bit(2, 4)),
     "point_mass": lambda: point_mass(4, 3),
     "single_variable": lambda: build_distribution([3], [(2, 1.0)]),
+    "multi_digit_states": lambda: random_distribution(3, [12, 1, 101], 5),
+    "cardinality_2_to_70_with_two_entries": lambda: build_distribution(
+        [2**70, 3], [((2**70 - 1, 2), 0.5), ((10**20, 0), 0.5)]),
+    # states (i % 3, i % 5, i * i % 7) repeat with period 105: two masses
+    "plug_in_with_repeated_masses": lambda: estimate_from_samples(
+        [(i % 3, i % 5, i * i % 7) for i in range(200)]),
+    "subnormal_beside_reprs_of_unequal_length": lambda: build_distribution(
+        [6], [(0, 5e-324), (1, 0.5), (2, 0.25), (3, 0.125), (4, 0.0625),
+              (5, 0.0625)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
 def test_writer_matches_json_dumps_byte_for_byte(name):
     dist = WRITER_CASES[name]()
+    text = dumps_distribution(dist)
+    assert text == json.dumps(support.distribution_to_obj(dist), indent=2)
+    again = loads_distribution(text, dist.config)
+    assert list(again.items()) == list(dist.items())
+
+
+# Masses from a small pool, so that both digits and masses repeat; a
+# renormalized subnormal may round to 0 and leave the support.
+pooled_masses = st.sampled_from([5e-324, 1e-300, 0.1, 0.25, 1 / 3, 1.0, 3.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(cards=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       data=st.data())
+def test_writer_matches_json_dumps_when_values_repeat(cards, data):
+    states = data.draw(st.lists(
+        st.tuples(*[st.integers(0, c - 1) for c in cards]),
+        min_size=1, max_size=40, unique=True))
+    weights = data.draw(st.lists(
+        pooled_masses, min_size=len(states), max_size=len(states)))
+    sparse = data.draw(st.booleans())
+    config = EstimatorConfig(max_dense_states=len(states)) if sparse else None
+    dist = build_distribution(cards, list(zip(states, weights)), config,
+                              renormalize=True)
     text = dumps_distribution(dist)
     assert text == json.dumps(support.distribution_to_obj(dist), indent=2)
     again = loads_distribution(text, dist.config)
@@ -286,6 +319,14 @@ INPUT_FAULTS = {
     "json_entry_without_p": (
         ".json", '{"cardinalities": [2], "entries": [{"state": [0]}]}',
         MalformedInputError),
+    "json_truncated_document": (
+        ".json", '{"cardinalities": [2], "entries": [{"state": [0], "p"',
+        MalformedInputError),
+    "json_empty_text": (".json", "", MalformedInputError),
+    "json_integer_over_the_digit_limit": (
+        ".json", '{"cardinalities": [' + "2" * 5000 + "]}",
+        MalformedInputError),
+    "json_nested_too_deep": (".json", "[" * 100000, MalformedInputError),
 }
 
 
@@ -299,9 +340,23 @@ def csv_module_error(text):
     raise AssertionError("the csv module reads the text")
 
 
-# Faults the csv module raises, read one distinct line at a time.
+def json_module_error(text):
+    """The message of the json module's error on ``text``, as the
+    distribution JSON reader reports it."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"distribution JSON cannot be parsed: {exc}"
+    raise AssertionError("the json module reads the text")
+
+
+# Faults the csv module raises, read one distinct line at a time, and
+# faults the json module raises.
 CSV_MODULE_FAULTS = ("csv_bare_cr_inside_a_line",
                      "csv_field_over_the_limit_after_1000_lines")
+JSON_MODULE_FAULTS = ("json_truncated_document", "json_empty_text",
+                      "json_integer_over_the_digit_limit",
+                      "json_nested_too_deep")
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
@@ -313,6 +368,8 @@ def test_malformed_input_raises_its_error_and_exits_1(tmp_path, capsys, case):
     assert type(caught.value) is error
     if case in CSV_MODULE_FAULTS:
         assert str(caught.value) == csv_module_error(text)
+    if case in JSON_MODULE_FAULTS:
+        assert str(caught.value) == json_module_error(text)
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)
     assert main(["measures", "--input", str(path)]) == 1

@@ -2,16 +2,20 @@
 
 Every value is checked against the brute-force ``oracle`` at 1e-9 bits:
 T, D and S are non-negative, S = T + D and O = T - D, and all four add
-over independent products.
+over independent products. The conjugation that pairs the synergy and
+redundancy families is checked on the measures' coefficient vectors over
+the entropy profile.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
 import support
-from hoinfo import measure_report, product
+from hoinfo import delta_k, gamma_k, measure_report, product, random_distribution
+from hoinfo.distribution import _entropy_profile
 
 TOL = 1e-9
 
@@ -64,3 +68,36 @@ def test_measures_add_over_independent_products(a, b):
     for name in "TDSO":
         assert abs(joint[name] - (parts[0][name] + parts[1][name])) < TOL, name
         assert abs(joint[name] - expected[name]) < TOL, name
+
+
+# The paper's conjugation: conj f = -f o psi with psi(H(X_S)) =
+# H(X) - H(X_{S^c}) swaps T and D, fixes S and maps Delta^k to Gamma^k.
+# Checked exactly on integer coefficient vectors over the entropy profile.
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_conjugation_swaps_the_synergy_and_redundancy_families(n):
+    t, d, s = support.tc_vector(n), support.dtc_vector(n), support.s_vector(n)
+    deltas = [support.delta_vector(n, k) for k in range(n + 1)]
+    gammas = [support.gamma_vector(n, k) for k in range(n + 1)]
+    assert support.conjugate(t) == d
+    assert support.conjugate(s) == s
+    assert [support.conjugate(delta) for delta in deltas] == gammas
+    for f in [t, d, s, *deltas, *gammas]:
+        assert support.conjugate(support.conjugate(f)) == f
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_profile_vectors_evaluate_to_the_measures(n):
+    for seed, cards in ((n, 2), (100 + n, ([3, 2, 4] * 3)[:n])):
+        dist = random_distribution(n, cards, seed)
+        profile = _entropy_profile(dist)
+        r = measure_report(dist)
+        pairs = [(support.tc_vector(n), r.total_correlation),
+                 (support.dtc_vector(n), r.dual_total_correlation),
+                 (support.s_vector(n), r.s_information)]
+        for k in range(n + 1):
+            pairs.append((support.delta_vector(n, k), delta_k(dist, k)))
+            pairs.append((support.gamma_vector(n, k), gamma_k(dist, k)))
+        for f, value in pairs:
+            assert abs(support.evaluate(f, profile) - value) < TOL
