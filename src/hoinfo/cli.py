@@ -42,6 +42,7 @@ from .errors import (
 from .fileio import (
     FORMAT_DIST_JSON,
     FORMAT_SAMPLES_CSV,
+    decode_json,
     dumps_distribution,
     loads_distribution,
     parse_samples_csv,
@@ -87,23 +88,32 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec | None:
     )
 
 
+def _read_file(path: str, name: str) -> str:
+    """The UTF-8 text of the file at ``path``, with its line endings as
+    written. Bytes that do not decode raise :class:`MalformedInputError`
+    naming the file as ``name``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{name} cannot be decoded: {exc}") from None
+
+
 def _read_text(path: str) -> str:
     """The text of the file at ``path``, or of stdin for ``"-"``, with its
     line endings as written: the samples CSV reader, not universal-newline
     translation, decides what a ``"\\r"`` means. Bytes that do not decode
     raise :class:`MalformedInputError` naming the input."""
+    if path != "-":
+        return _read_file(path, path)
     try:
-        if path != "-":
-            with open(path, "r", encoding="utf-8", newline="") as handle:
-                return handle.read()
         stdin = sys.stdin
         buffer = getattr(stdin, "buffer", None)
         if buffer is None:  # a text stream with no bytes below it
             return stdin.read()
         return buffer.read().decode(stdin.encoding, stdin.errors)
     except UnicodeDecodeError as exc:
-        name = "stdin" if path == "-" else path
-        raise MalformedInputError(f"{name} cannot be decoded: {exc}") from None
+        raise MalformedInputError(f"stdin cannot be decoded: {exc}") from None
 
 
 def _load_input(
@@ -417,8 +427,8 @@ def _run_batch_lines(workers: int, columns: tuple) -> list[tuple[bool, str]]:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    with open(args.manifest, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    name = f"manifest {args.manifest}"
+    manifest = decode_json(_read_file(args.manifest, name), name)
     if not isinstance(manifest, list):
         raise InvalidOrderError("manifest must be a JSON list of items")
 

@@ -19,7 +19,11 @@ every mass bit for bit. Each line of an entry depends on one digit or on
 the mass alone, so the writer formats each distinct digit of a variable,
 and each distinct mass, once, and gathers the entries' text from those
 lines; the bytes stay those of ``json.dumps``. Text that is not JSON
-raises :class:`~hoinfo.errors.MalformedInputError`.
+raises :class:`~hoinfo.errors.MalformedInputError`. The decoded document
+is a tree of dicts and lists, which reference counting frees, so a read
+decodes it and builds the distribution with the cyclic garbage collector
+paused; another thread may see the collector paused meanwhile, and no
+result depends on it.
 
 Samples CSV: a header row of distinct variable names, then one row per
 observation. A column whose every cell parses as an integer is read as
@@ -48,9 +52,11 @@ header with no rows, or rows of unequal width, is rejected there.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 from collections import Counter
+from contextlib import contextmanager
 from itertools import compress
 from typing import Mapping
 
@@ -120,6 +126,31 @@ def distribution_from_obj(
     )
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with Python's cyclic garbage collector disabled, then
+    give it back the state the caller had, on every exit path. The
+    collector is process-wide: another thread sees it paused meanwhile."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def decode_json(text: str, name: str):
+    """``json.loads(text)`` with the cyclic collector paused; text that is
+    not JSON, or that nests too deep for the parser, raises
+    :class:`~hoinfo.errors.MalformedInputError` naming ``name``."""
+    with _collector_paused():
+        try:
+            return json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError(f"{name} cannot be parsed: {exc}") from None
+
+
 def loads_distribution(
     text: str,
     config: EstimatorConfig | None = None,
@@ -128,14 +159,15 @@ def loads_distribution(
 ) -> JointDistribution:
     """Parse distribution JSON text, with full validation; text that is not
     JSON, or that nests too deep for the parser, raises
-    :class:`~hoinfo.errors.MalformedInputError`."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedInputError(
-            f"distribution JSON cannot be parsed: {exc}"
-        ) from None
-    return distribution_from_obj(obj, config, renormalize=renormalize)
+    :class:`~hoinfo.errors.MalformedInputError`.
+
+    The decode and the build run with the cyclic garbage collector paused,
+    because the document they walk holds no reference cycles; a thread
+    that reads JSON at the same moment may see the collector paused, and
+    no result depends on it."""
+    with _collector_paused():
+        obj = decode_json(text, "distribution JSON")
+        return distribution_from_obj(obj, config, renormalize=renormalize)
 
 
 def parse_samples_csv(

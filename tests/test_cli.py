@@ -243,6 +243,21 @@ def test_input_that_is_not_utf8_exits_1_and_fails_its_batch_item(
         "distribution JSON cannot be parsed: ")
 
 
+@pytest.mark.parametrize("content,fault", [
+    (b"[" * 100000, "cannot be parsed: maximum recursion depth exceeded"),
+    # a UTF-16 manifest with its byte order mark
+    (b"\xff\xfe" + "[]".encode("utf-16-le"), "cannot be decoded: "),
+])
+def test_manifest_that_cannot_be_read_exits_1_naming_it(tmp_path, capsys,
+                                                        content, fault):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(content)
+    code, out, err = run_cli(capsys, ["batch", str(manifest)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"hoinfo: error: manifest {manifest} {fault}")
+    assert err.count("\n") == 1
+
+
 def test_csv_with_a_repeated_column_name_exits_1(tmp_path, capsys):
     bad = tmp_path / "repeated.csv"
     bad.write_text("x,y,x,z,y\n0,1,0,1,0\n")

@@ -9,6 +9,7 @@ malformed input file raises its named error and makes the CLI exit 1.
 
 import collections
 import csv
+import gc
 import io
 import itertools
 import json
@@ -23,6 +24,7 @@ from hoinfo import (
     EstimatorConfig,
     HoinfoError,
     MalformedInputError,
+    NotNormalizedError,
     RaggedRowsError,
     StateOutOfRangeError,
     build_distribution,
@@ -376,3 +378,59 @@ def test_malformed_input_raises_its_error_and_exits_1(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"hoinfo: error: {caught.value}\n"
+
+
+# ---------------------------------------------------------------------------
+
+# A read runs with the cyclic collector paused, so it must create no
+# reference cycles, and it must give the collector back as it found it.
+
+def test_reading_distribution_json_leaves_no_reference_cycles():
+    texts = [dumps_distribution(parity(10)),
+             dumps_distribution(random_distribution(6, [2, 3, 2, 4, 2, 3], 9)),
+             dumps_distribution(WRITER_CASES["sparse_over_cap"]())]
+    gc.collect()
+    read = [loads_distribution(text) for text in texts[:2]]
+    read.append(loads_distribution(
+        texts[2], EstimatorConfig(max_dense_states=4)))
+    assert gc.collect() == 0
+    assert [d.representation for d in read] == ["dense", "dense", "sparse"]
+
+
+READ_OUTCOMES = {
+    "success": ('{"cardinalities": [2], "entries": [{"state": [0], "p": 1}]}',
+                None),
+    "truncated_document": (INPUT_FAULTS["json_truncated_document"][1],
+                           MalformedInputError),
+    "nested_too_deep": (INPUT_FAULTS["json_nested_too_deep"][1],
+                        MalformedInputError),
+    "not_normalized": (
+        '{"cardinalities": [2], "entries": [{"state": [0], "p": 0.5}]}',
+        NotNormalizedError),
+    "state_out_of_range": (
+        '{"cardinalities": [2], "entries": [{"state": [2], "p": 1.0}]}',
+        StateOutOfRangeError),
+}
+
+
+def read_outcome(text):
+    """The type of the error ``loads_distribution(text)`` raises, or None."""
+    try:
+        loads_distribution(text)
+    except HoinfoError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(READ_OUTCOMES))
+def test_read_restores_the_collector_state(case):
+    text, error = READ_OUTCOMES[case]
+    assert gc.isenabled()
+    assert read_outcome(text) is error
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert read_outcome(text) is error
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
