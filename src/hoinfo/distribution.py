@@ -21,7 +21,10 @@ index order, sparse supports in ascending code order. Because adding an
 exact zero never perturbs an accumulator, the two representations of the
 same distribution produce bit-identical marginal masses, entropies, and
 therefore bit-identical measures, and every result is reproducible run to
-run.
+run. An entropy is one left fold of the terms p*log2(p) of the positive
+masses in that order, computed a block at a time; a block with no zero
+cell is folded whole, which gives the same terms in the same order as
+selecting its positive cells.
 
 Every dense fold and every dense marginal walks the same row-major blocks
 of at most ``_BLOCK`` cells. A dense marginal is folded from strided views
@@ -299,10 +302,11 @@ def _marginal_blocks(
 
 def _entropy_of(blocks: Iterable[np.ndarray], log_base: float) -> float:
     """-sum p*log(p) over the positive masses of ``blocks``, in order: one
-    strict fold whose terms are computed and folded a block at a time."""
+    strict fold whose terms are computed and folded a block at a time. A
+    block with no zero cell is folded whole, through a flat view of it."""
     acc = 0.0
     for blk in blocks:
-        p = blk[blk > 0.0]
+        p = blk.ravel() if blk.size and blk.min() > 0.0 else blk[blk > 0.0]
         if p.size:
             # log2(p) * p in place: the block's terms are its own array
             terms = np.log2(p)
@@ -420,8 +424,7 @@ class JointDistribution:
 
     def total_mass(self) -> float:
         """Canonical-order sum of all masses (1 up to rounding)."""
-        m = self._masses
-        return _fold(m[m > 0.0])
+        return _fold(self._masses)
 
     def dense_table(self) -> np.ndarray:
         """Materialize the full table as a writable array copy."""

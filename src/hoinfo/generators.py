@@ -28,6 +28,7 @@ from .distribution import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     JointDistribution,
+    _BLOCK,
     _check_support_size,
     _digits,
     _encode,
@@ -271,16 +272,20 @@ def random_distribution(
             f"{cfg.max_dense_states}"
         )
 
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_states)
-    w = (1.0 - u) ** (1.0 / concentration)  # in (0, 1]
+    # Built in place: u becomes w, then the scaled weights, then their
+    # fractions. The quanta are float64 whole numbers whose partial sums
+    # stay below 2**53, so every += and their sum are exact. Placing the
+    # residual takes one more table-sized buffer.
+    u = np.random.default_rng(seed).random(n_states)
+    np.subtract(1.0, u, out=u)
+    u **= 1.0 / concentration  # w, in (0, 1]
 
     bits = min(48, max(40, n_states.bit_length() + 14))
     target = 1 << bits
-    scaled = w * (target / _fold(w))
-    floors = np.floor(scaled)
-    quanta = np.maximum(floors, 1.0).astype(np.int64)
-    frac = scaled - floors
+    u *= target / _fold(u)
+    quanta = np.floor(u)
+    u -= quanta  # the fractions
+    np.maximum(quanta, 1.0, out=quanta)
     residual = target - int(quanta.sum())
     if residual > 0:
         whole, extra = divmod(residual, n_states)
@@ -289,23 +294,33 @@ def random_distribution(
         if extra:
             # the `extra` largest fractions, lowest index first among ties:
             # the head of a stable descending sort, selected in O(n)
-            cut = np.partition(frac, n_states - extra)[n_states - extra]
-            above = frac > cut
-            ties = np.flatnonzero(frac == cut)
-            quanta[above] += 1
+            cut = np.partition(u, n_states - extra)[n_states - extra]
+            above = u > cut
+            quanta += above
+            ties = np.flatnonzero(u == cut)
             quanta[ties[: extra - int(np.count_nonzero(above))]] += 1
     elif residual < 0:
-        order = np.argsort(frac, kind="stable")
+        order = np.argsort(u, kind="stable")
+        del u
         deficit = -residual
         while deficit > 0:
-            takeable = order[quanta[order] > 1][:deficit]
+            # one pass, smallest fraction first, a run of states at a time:
+            # one quantum back from each of the first `deficit` states above
+            # one quantum
+            before = deficit
+            for start in range(0, n_states, _BLOCK):
+                run = order[start : start + _BLOCK]
+                takeable = run[quanta[run] > 1.0][:deficit]
+                quanta[takeable] -= 1.0
+                deficit -= takeable.size
+                if not deficit:
+                    break
             # target >= n_states * 2**14, so an oversubscribed table always
             # has states above one quantum
-            assert takeable.size > 0
-            quanta[takeable] -= 1
-            deficit -= takeable.size
+            assert deficit < before
 
-    return JointDistribution(cards, quanta / float(target), config=cfg)
+    quanta /= float(target)
+    return JointDistribution(cards, quanta, config=cfg)
 
 
 def generate(

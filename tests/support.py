@@ -198,6 +198,17 @@ def random_table(cards, seed: int, zero_share: float) -> JointDistribution:
     return build_distribution(cards, entries, renormalize=True)
 
 
+def entropy_reference(dist: JointDistribution) -> float:
+    """Shannon entropy of ``dist`` by the documented fold, without the
+    package's kernel: the positive masses in ascending state order, each
+    term ``np.log2(p) * p``, one Python left fold from 0.0."""
+    _, masses = dist._support()
+    acc = 0.0
+    for term in (np.log2(masses) * masses).tolist():
+        acc += term
+    return 0.0 - acc / math.log2(dist.config.log_base)
+
+
 # Cross-check paths: D, delta and gamma from joint and leave-one-out total
 # correlations alone, each marginal T recomputed from scratch. They share
 # the package's total_correlation and leave_one_out, so they check the

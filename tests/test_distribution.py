@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hoinfo.distribution as distribution
 import oracle
 import support
 from hoinfo import (
@@ -355,6 +356,14 @@ def test_product_over_cap_raises():
     b = random_distribution(2, 2, seed=2, config=cfg)
     with pytest.raises(TableTooLargeError):
         product(a, b)
+
+
+@pytest.mark.parametrize("zero_share", [0.3, 0.8])
+def test_total_mass_folds_zero_cells_without_changing_its_bits(zero_share):
+    d = support.random_table([3, 4, 5, 2], 7, zero_share)
+    m = d._masses
+    assert (m == 0.0).any()
+    assert d.total_mass().hex() == distribution._fold(m[m > 0.0]).hex()
 
 
 # ---------------------------------------------------------------------------

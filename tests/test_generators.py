@@ -205,16 +205,35 @@ def test_random_masses_strictly_positive_and_exactly_normalized():
     assert d.total_mass() == 1.0
 
 
-@pytest.mark.parametrize("concentration", [1.0, 1e3, 1e15, 0.02])
+@pytest.mark.parametrize("concentration", [1.0, 1e3, 1e15, 0.02, 0.5, 2.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_residual_placement_matches_stable_sort(concentration, seed):
     # at concentration 1e15 the 4096 fractions take under 62 distinct
     # values, so the lowest-index tie-break decides most residual quanta;
     # at 0.02 most states round up to one quantum, so the residual is
-    # negative and quanta are taken back from the smallest fractions
+    # negative and quanta are taken back from the smallest fractions;
+    # 0.5 and 2.0 give the exponents 2 and 0.5, which numpy's power
+    # computes as a square and a square root
     d = random_distribution(12, 2, seed=seed, concentration=concentration)
     expected = support.random_masses_by_argsort(4096, seed, concentration)
     assert d.dense_table().reshape(-1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("concentration,buffers", [
+    (1.0, 4),
+    (1e15, 4),
+    (0.02, 5),  # a negative residual, taken back in stable-sort order
+])
+def test_random_table_is_built_in_few_table_sized_buffers(concentration,
+                                                          buffers):
+    n_vars = 18
+    tracemalloc.start()
+    try:
+        random_distribution(n_vars, 2, seed=1, concentration=concentration)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers * 8 * 2**n_vars
 
 
 def test_random_high_concentration_approaches_uniform():

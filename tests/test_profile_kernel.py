@@ -5,8 +5,10 @@ Property tests over small random tables with size-1 axes and zero cells:
 the leave-one-out entropies folded from the marginal kernel's blocks must
 give, bit for bit, the entropy of each materialized leave-one-out marginal,
 and every profile entropy must be the same for the dense and the sparse
-representation. Small blocks drive the blocked path, and blocks of only
-zero cells, on small tables. A test that patches ``_BLOCK`` builds its
+representation. Every entropy of the joint table and of its leave-one-out
+marginals must have the bits of a plain Python fold of the positive masses.
+Small blocks drive the blocked path, and blocks of only zero cells, on
+small tables. A test that patches ``_BLOCK`` builds its
 distributions itself, so no kept profile hides the patched path.
 The run-based sparse marginal codes must equal the digit-based ones, also
 for object codes beyond 2**63 states. A 16-variable table checks every
@@ -105,6 +107,28 @@ def test_blocks_of_zero_cells_are_skipped():
         assert got == (1.0, 0.0)
         assert bits(got) == bits([entropy(leave_one_out(dist, i))
                                   for i in range(2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cards=cardinalities,
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+    block=st.sampled_from(BLOCKS),
+)
+@example(cards=[2, 3], seed=0, zero_share=0.0, block=distribution._BLOCK)
+@example(cards=[4, 4], seed=1, zero_share=0.3, block=3)
+def test_entropies_have_the_bits_of_a_python_fold(cards, seed, zero_share,
+                                                  block):
+    # blocks with and without zero cells, each against a fold that shares
+    # no code with the kernel
+    dense = support.random_table(cards, seed, zero_share)
+    with mock.patch.object(distribution, "_BLOCK", block):
+        joint = [entropy(dense), entropy(dense.to_sparse())]
+        got = distribution._leave_one_out_entropies(dense)
+    assert bits(joint) == bits([support.entropy_reference(dense)] * 2)
+    assert bits(got) == bits([support.entropy_reference(leave_one_out(dense, i))
+                              for i in range(len(cards))])
 
 
 @settings(max_examples=60, deadline=None)
