@@ -5,9 +5,9 @@ Four subcommands: ``measures`` and ``spectrum`` ingest a distribution
 ``gen`` emits a generated distribution in the distribution JSON format;
 ``batch`` runs a manifest of inputs and writes one report per line, in
 manifest order; with ``--jobs N`` its items run in worker processes
-(forked), capped at the item count and the CPU count. A manifest that
-names stdin (``"-"``) runs in process, and its items read the stream in
-manifest order.
+(forked), capped at the item count and the CPUs this process may run
+on. A manifest that names stdin (``"-"``) runs in process, and its items
+read the stream in manifest order.
 
 Exit codes: 0 on success, 1 on parse/validation failure, 2 when a measure
 is requested on a system with fewer than two variables. Diagnostics go to
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import gc
 import itertools
 import json
 import os
@@ -88,32 +87,21 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec | None:
     )
 
 
-def _read_file(path: str, name: str) -> str:
-    """The UTF-8 text of the file at ``path``, with its line endings as
-    written. Bytes that do not decode raise :class:`MalformedInputError`
-    naming the file as ``name``."""
+def _read_text(path: str | None, name: str) -> str:
+    """The bytes of the file at ``path``, or of stdin for None, decoded as
+    strict UTF-8 whatever the locale, so each ``"\\r"`` stays as written:
+    the samples CSV reader, not universal-newline translation, decides what
+    it means. Bytes that do not decode raise :class:`MalformedInputError`
+    naming the input as ``name``."""
+    if path is None:
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{name} cannot be decoded: {exc}") from None
-
-
-def _read_text(path: str) -> str:
-    """The text of the file at ``path``, or of stdin for ``"-"``, with its
-    line endings as written: the samples CSV reader, not universal-newline
-    translation, decides what a ``"\\r"`` means. Bytes that do not decode
-    raise :class:`MalformedInputError` naming the input."""
-    if path != "-":
-        return _read_file(path, path)
-    try:
-        stdin = sys.stdin
-        buffer = getattr(stdin, "buffer", None)
-        if buffer is None:  # a text stream with no bytes below it
-            return stdin.read()
-        return buffer.read().decode(stdin.encoding, stdin.errors)
-    except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"stdin cannot be decoded: {exc}") from None
 
 
 def _load_input(
@@ -136,7 +124,7 @@ def _load_input(
     if gen_spec is not None:
         return generate(gen_spec, config), gen_spec.describe(), None
     descriptor = "stdin" if path == "-" else path
-    text = _read_text(path)
+    text = _read_text(None if path == "-" else path, descriptor)
     if fmt == "auto":
         fmt = sniff_format(descriptor, text)
     if fmt == FORMAT_DIST_JSON:
@@ -213,12 +201,12 @@ def _emit_report(report: dict, output: str, stream) -> None:
 
 def _add_generator_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, help="gadget order k")
-    parser.add_argument("--alphabet", type=int, default=2,
+    parser.add_argument("--alphabet", type=int,
                         help="per-variable alphabet size (default 2)")
     parser.add_argument("--n-vars", type=int, dest="n_vars",
                         help="variable count for random/point-mass kinds")
     parser.add_argument("--seed", type=int, help="seed for the random kind")
-    parser.add_argument("--concentration", type=float, default=1.0,
+    parser.add_argument("--concentration", type=float,
                         help="mass concentration for the random kind")
 
 
@@ -277,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("manifest", help="path to the manifest JSON list")
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="worker processes (forked), capped at the item "
-                              "count and the CPU count (default 1: run in "
-                              "process); a manifest naming '-' runs in "
-                              "process, its items reading stdin in manifest "
-                              "order; output order and content do not "
-                              "depend on this")
+                              "count and the CPUs this process may run on "
+                              "(default 1: run in process); a manifest "
+                              "naming '-' runs in process, its items reading "
+                              "stdin in manifest order; output order and "
+                              "content do not depend on this")
     p_batch.add_argument("--spectrum", action="store_true",
                          help="include the spectrum in every report")
     p_batch.add_argument("--normalize", action="store_true")
@@ -369,79 +357,83 @@ def _batch_line(
     return False, json.dumps(report)
 
 
+def _allowed_cpus() -> list[int]:
+    """The CPUs this process may run on, in ascending order; where the
+    platform cannot say, the first ``os.cpu_count()`` CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _worker_count(jobs: int, items: int, cpus: int) -> int:
     """Worker processes for a batch: no more than ``--jobs`` asks for, than
     there are items or than there are CPUs, and at least one."""
     return max(1, min(jobs, items, cpus))
 
 
-def _place_worker(cpus) -> None:
-    """Move this worker process to the CPU it takes from the queue ``cpus``,
-    then let it run on any allowed CPU again. A forked child starts on its
-    parent's CPU; where the kernel does not move it to an idle CPU, as on
-    some virtual machines, every worker would share that one CPU."""
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {cpus.get()})
-    os.sched_setaffinity(0, allowed)
+def _place_worker(queue, cpus: list[int]) -> None:
+    """Move this worker process to the CPU it takes from ``queue``, then
+    let it run on any of the allowed ``cpus`` again. A forked child starts
+    on its parent's CPU; where the kernel does not move it to an idle CPU,
+    as on some virtual machines, every worker would share that one CPU."""
+    os.sched_setaffinity(0, {queue.get()})
+    os.sched_setaffinity(0, cpus)
 
 
-def _fork_batch_lines(context, workers: int,
-                      columns: tuple) -> list[tuple[bool, str]]:
+def _fork_batch_lines(context, workers: int, columns: tuple,
+                      cpus: list[int]) -> list[tuple[bool, str]]:
     """:func:`_batch_line` of each item, in manifest order, run in
     ``workers`` processes forked from this one by the multiprocessing
-    ``context``. The workers inherit the imported modules."""
+    ``context`` and placed one by one on the allowed ``cpus``. The workers
+    inherit the imported modules."""
     import concurrent.futures
 
     place = {}
     if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
         queue = context.SimpleQueue()
-        for index in range(workers):
-            queue.put(cpus[index % len(cpus)])
-        place = {"initializer": _place_worker, "initargs": (queue,)}
-    # a worker's collections then skip the objects it inherits, so they
-    # neither take its time nor copy the memory pages that hold them
-    gc.freeze()
+        for cpu in cpus[:workers]:
+            queue.put(cpu)
+        place = {"initializer": _place_worker, "initargs": (queue, cpus)}
     try:
         with concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=context, **place) as pool:
             return list(pool.map(_batch_line, *columns))
     except concurrent.futures.process.BrokenProcessPool as exc:
         raise OSError(f"a batch worker process ended abruptly: {exc}") from None
-    finally:
-        gc.unfreeze()
 
 
-def _run_batch_lines(workers: int, columns: tuple) -> list[tuple[bool, str]]:
+def _run_batch_lines(workers: int, columns: tuple,
+                     cpus: list[int]) -> list[tuple[bool, str]]:
     """:func:`_batch_line` of each item, in manifest order: in forked
-    worker processes if ``workers`` > 1 and fork is available, else in
-    this process."""
+    worker processes on the allowed ``cpus`` if ``workers`` > 1 and fork is
+    available, else in this process."""
     if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             return _fork_batch_lines(multiprocessing.get_context("fork"),
-                                     workers, columns)
+                                     workers, columns, cpus)
     return list(map(_batch_line, *columns))
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     name = f"manifest {args.manifest}"
-    manifest = decode_json(_read_file(args.manifest, name), name)
+    manifest = decode_json(_read_text(args.manifest, name), name)
     if not isinstance(manifest, list):
         raise InvalidOrderError("manifest must be a JSON list of items")
 
     columns = (range(len(manifest)), manifest, itertools.repeat(args),
                itertools.repeat(config))
-    workers = _worker_count(args.jobs, len(manifest), os.cpu_count() or 1)
+    cpus = _allowed_cpus()
+    workers = _worker_count(args.jobs, len(manifest), len(cpus))
     if any(isinstance(item, Mapping) and item.get("input") == "-"
            for item in manifest):
         # a forked worker's stdin is /dev/null: the items run here and read
         # the stream in manifest order, the first reader taking all of it
         workers = 1
     failed = False
-    for item_failed, line in _run_batch_lines(workers, columns):
+    for item_failed, line in _run_batch_lines(workers, columns, cpus):
         failed |= item_failed
         sys.stdout.write(line)
         sys.stdout.write("\n")

@@ -195,7 +195,8 @@ def test_criterion_10_cli_round_trip_and_batch_determinism(tmp_path, capsys,
                      "--alphabet", "2", "--seed", "4242", "--emit"])
     emitted = capsys.readouterr().out
     assert code == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(emitted))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(emitted.encode("utf-8")), encoding="utf-8"))
     code = cli_main(["measures", "--input", "-"])
     piped = json.loads(capsys.readouterr().out)["measures"]
     assert code == 0

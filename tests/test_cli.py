@@ -22,6 +22,11 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def utf8_stdin(text):
+    """A stdin whose bytes are ``text`` encoded as UTF-8, as a pipe gives it."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def test_measures_on_parity_gadget(capsys):
     code, out, _ = run_cli(
         capsys, ["measures", "--gen", "parity", "--order", "3"])
@@ -170,7 +175,7 @@ def test_gen_measures_round_trip_is_bit_exact(tmp_path, capsys, monkeypatch):
     via_file = json.loads(out)["measures"]
 
     # through stdin, as in a shell pipeline
-    monkeypatch.setattr(sys, "stdin", io.StringIO(emitted))
+    monkeypatch.setattr(sys, "stdin", utf8_stdin(emitted))
     code, out, _ = run_cli(capsys, ["measures", "--input", "-"])
     assert code == 0
     via_stdin = json.loads(out)["measures"]
@@ -354,15 +359,31 @@ def test_batch_output_is_independent_of_jobs(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def run_cli_process(argv, cwd, stdin="", prelude=""):
-    """Run the CLI in a child interpreter with ``stdin`` piped to it; the
-    ``prelude`` runs in that interpreter before ``main``."""
+def run_cli_process(argv, cwd, stdin=b"", prelude="", env=None):
+    """Run the CLI in a child interpreter with the bytes ``stdin`` piped to
+    it and the variables ``env`` added to its environment; the ``prelude``
+    runs in that interpreter before ``main``."""
     src = str(Path(hoinfo.__file__).resolve().parents[1])
     code = f"{prelude}\nimport sys\nfrom hoinfo.cli import main\nsys.exit(main({argv!r}))"
     return subprocess.run(
-        [sys.executable, "-c", code], input=stdin.encode(), cwd=cwd,
-        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], input=stdin, cwd=cwd,
+        capture_output=True, env={**os.environ, "PYTHONPATH": src, **(env or {})},
         timeout=120)
+
+
+@pytest.mark.parametrize("env", [{}, {"LC_ALL": "C"}], ids=["default", "LC_ALL=C"])
+def test_stdin_that_is_not_utf8_exits_1_whatever_the_locale(tmp_path, env):
+    # Python's UTF-8 mode would decode these bytes with surrogateescape
+    latin1 = b"x,y\n\xe9,1\n\xe8,0\n"
+    run = run_cli_process(["measures", "--input", "-"], tmp_path, latin1,
+                          env=env)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr.startswith(b"hoinfo: error: stdin cannot be decoded: ")
+    (tmp_path / "manifest.json").write_text(json.dumps([{"input": "-"}]))
+    run = run_cli_process(["batch", "manifest.json"], tmp_path, latin1, env=env)
+    assert run.returncode == 1
+    [line] = run.stdout.splitlines()
+    assert json.loads(line)["error"]["type"] == "MalformedInputError"
 
 
 def test_batch_stdin_items_are_independent_of_jobs(tmp_path):
@@ -374,7 +395,7 @@ def test_batch_stdin_items_are_independent_of_jobs(tmp_path):
         {"gen": PARITY3},
         {"input": "-", "format": "samples-csv"},
     ]))
-    stdin = 'x,y\n"a\r\nb",0\nc,1\n'
+    stdin = b'x,y\n"a\r\nb",0\nc,1\n'
     runs = [run_cli_process(["batch", "manifest.json", "--jobs", jobs],
                             tmp_path, stdin) for jobs in ("1", "2")]
     assert [run.returncode for run in runs] == [1, 1]
@@ -413,12 +434,19 @@ def test_batch_errors_are_independent_of_jobs(tmp_path, capsys, monkeypatch):
         "MalformedInputError", None]
 
 
+def two_cpus(monkeypatch):
+    """Let a batch start two workers, both placed on the first allowed
+    CPU, so that they can run on a machine with one."""
+    first = hoinfo.cli._allowed_cpus()[0]
+    monkeypatch.setattr(hoinfo.cli, "_allowed_cpus", lambda: [first, first])
+
+
 def test_batch_naming_stdin_runs_in_process(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("a batch worker process was started")
 
     monkeypatch.setattr(hoinfo.cli, "_fork_batch_lines", fail)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    two_cpus(monkeypatch)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([{"gen": PARITY3}, {"gen": PARITY3}]))
     with pytest.raises(AssertionError, match="worker"):
@@ -432,7 +460,7 @@ def test_batch_naming_stdin_runs_in_process(tmp_path, capsys, monkeypatch):
     ]))
     runs = []
     for jobs in ("1", "2"):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("x,y\n0,1\n1,0\n"))
+        monkeypatch.setattr(sys, "stdin", utf8_stdin("x,y\n0,1\n1,0\n"))
         runs.append(run_cli(capsys, ["batch", str(manifest), "--jobs", jobs]))
     assert runs[0] == runs[1]
     assert runs[0][0] == 1
@@ -449,6 +477,24 @@ def test_batch_naming_stdin_runs_in_process(tmp_path, capsys, monkeypatch):
 ])
 def test_batch_worker_count_is_capped(jobs, items, cpus, workers):
     assert hoinfo.cli._worker_count(jobs, items, cpus) == workers
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform cannot restrict a process's CPUs")
+def test_batch_with_one_allowed_cpu_runs_in_process(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        [{"gen": PARITY3}, {"gen": PARITY3, "spectrum": True}]))
+    prelude = (
+        "import os, hoinfo.cli\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "def fail(*args):\n"
+        "    raise AssertionError('a batch worker process was started')\n"
+        "hoinfo.cli._fork_batch_lines = fail")
+    runs = [run_cli_process(["batch", "manifest.json", "--jobs", jobs],
+                            tmp_path, prelude=prelude) for jobs in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.count(b"\n") == 2
 
 
 def test_text_written_before_batch_appears_once(tmp_path):
@@ -472,7 +518,7 @@ def test_dead_batch_worker_exits_1_without_traceback(tmp_path, capsys,
         raise AssertionError("the item ran in the parent process")
 
     monkeypatch.setattr(hoinfo.cli, "_batch_item_report", die)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    two_cpus(monkeypatch)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([{"gen": PARITY3}, {"gen": PARITY3}]))
     code, out, err = run_cli(capsys, ["batch", str(manifest), "--jobs", "2"])
@@ -632,7 +678,7 @@ def test_batch_describes_stdin_input_as_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([{"input": "-"}]))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(emitted))
+    monkeypatch.setattr(sys, "stdin", utf8_stdin(emitted))
     code, out, _ = run_cli(capsys, ["batch", str(manifest)])
     assert code == 0
     report = json.loads(out)
@@ -959,12 +1005,12 @@ def test_csv_report_rows_are_two_csv_fields(tmp_path, capsys):
 
 def test_csv_report_bytes_of_samples_with_a_string_column(capsys,
                                                           monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(SAMPLES_WITH_STRING_COLUMN))
+    monkeypatch.setattr(sys, "stdin", utf8_stdin(SAMPLES_WITH_STRING_COLUMN))
     code, out, _ = run_cli(
         capsys, ["spectrum", "--input", "-", "--output", "csv"])
     assert code == 0
     assert out == GOLDEN_CSV_SAMPLES_SPECTRUM
-    monkeypatch.setattr(sys, "stdin", io.StringIO(SAMPLES_WITH_STRING_COLUMN))
+    monkeypatch.setattr(sys, "stdin", utf8_stdin(SAMPLES_WITH_STRING_COLUMN))
     code, out, _ = run_cli(capsys, ["measures", "--input", "-"])
     assert json.loads(out)["alphabet_mapping"] == {
         "color": ["blue", "green", "red"], "x": [0, 1], "y": [0, 1]}
