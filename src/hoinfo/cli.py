@@ -264,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         "batch", help="run a JSON manifest of inputs, one report per line")
     p_batch.add_argument("manifest", help="path to the manifest JSON list")
     p_batch.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (forked), capped at the item "
-                              "count and the CPUs this process may run on "
-                              "(default 1: run in process); a manifest "
+                         help="worker processes (forked), an integer >= 1, "
+                              "capped at the item count and the CPUs this "
+                              "process may run on (default 1: run in "
+                              "process); a manifest "
                               "naming '-' runs in process, its items reading "
                               "stdin in manifest order; output order and "
                               "content do not depend on this")
@@ -417,6 +418,9 @@ def _run_batch_lines(workers: int, columns: tuple,
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise MalformedInputError(
+            f"--jobs must be an integer >= 1, got {args.jobs}")
     config = _config_from_args(args)
     name = f"manifest {args.manifest}"
     manifest = decode_json(_read_text(args.manifest, name), name)

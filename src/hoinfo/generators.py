@@ -18,8 +18,9 @@ integers too, bools not) at or above its minimum; anything else raises
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from .distribution import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     JointDistribution,
-    _BLOCK,
     _check_support_size,
     _digits,
     _encode,
@@ -46,13 +46,17 @@ from .errors import (
     TableTooLargeError,
 )
 
-GENERATOR_KINDS = (
-    "giant_bit",
-    "parity",
-    "independent_product",
-    "random_dirichlet_like",
-    "point_mass",
-)
+# The spec fields each kind reads, in the order its descriptor names them;
+# every other field keeps its default.
+_KIND_FIELDS = {
+    "giant_bit": ("order", "alphabet"),
+    "parity": ("order", "alphabet"),
+    "independent_product": ("components",),
+    "random_dirichlet_like": ("n_vars", "alphabet", "seed", "concentration"),
+    "point_mass": ("n_vars", "alphabet"),
+}
+
+GENERATOR_KINDS = tuple(_KIND_FIELDS)
 
 # Every accepted spelling of a kind: its name with "_" or "-", plus "random".
 GENERATOR_KIND_ALIASES = {
@@ -68,8 +72,10 @@ class GeneratorSpec:
 
     ``order`` applies to giant_bit and parity (their variable count k);
     ``n_vars`` to random and point-mass kinds; ``seed`` and
-    ``concentration`` to the random kind; ``components`` holds the child
-    specs of an independent_product.
+    ``concentration`` to the random kind; ``alphabet`` to every kind but
+    independent_product, whose ``components`` holds its child specs. A
+    field the kind does not read must keep its default, or
+    :class:`InvalidOrderError` names it.
     """
 
     kind: str
@@ -86,25 +92,22 @@ class GeneratorSpec:
                 f"unknown generator kind {self.kind!r}; "
                 f"expected one of {GENERATOR_KINDS}"
             )
-        if self.components and self.kind != "independent_product":
-            raise InvalidOrderError(
-                "components are only valid for kind='independent_product'"
-            )
+        for spec_field in fields(self)[1:]:  # every field after kind
+            if (spec_field.name not in _KIND_FIELDS[self.kind]
+                    and getattr(self, spec_field.name) != spec_field.default):
+                raise InvalidOrderError(
+                    f"generator kind {self.kind!r} does not take "
+                    f"{spec_field.name!r}"
+                )
 
     def describe(self) -> str:
         """Canonical provenance string, e.g. ``gen:parity(order=3, alphabet=2)``."""
         if self.kind == "independent_product":
             inner = ", ".join(c.describe() for c in self.components)
             return f"gen:independent_product[{inner}]"
-        parts = []
-        if self.order is not None:
-            parts.append(f"order={self.order}")
-        if self.n_vars is not None:
-            parts.append(f"n_vars={self.n_vars}")
-        parts.append(f"alphabet={self.alphabet}")
-        if self.kind == "random_dirichlet_like":
-            parts.append(f"seed={self.seed}")
-            parts.append(f"concentration={self.concentration}")
+        parts = (f"{name}={getattr(self, name)}"
+                 for name in _KIND_FIELDS[self.kind]
+                 if getattr(self, name) is not None)
         return f"gen:{self.kind}({', '.join(parts)})"
 
 
@@ -224,6 +227,17 @@ def point_mass(
     return _from_support(cards, codes, np.ones(1), cfg)
 
 
+def _largest(values: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the ``count`` largest ``values`` (0 < count < size), lowest
+    index first among ties: the head of a stable descending sort, selected
+    in O(n)."""
+    cut = np.partition(values, values.size - count)[values.size - count]
+    chosen = values > cut
+    ties = np.flatnonzero(values == cut)
+    chosen[ties[: count - int(np.count_nonzero(chosen))]] = True
+    return chosen
+
+
 def random_distribution(
     n_vars: int,
     alphabet: int | Sequence[int],
@@ -238,8 +252,14 @@ def random_distribution(
     w = (1 - u) ** (1 / concentration), then quantize the normalized
     weights to integer multiples of 2**-B (B in [40, 48], chosen from the
     state count) with every state kept at >= 1 quantum. The quantization
-    residual is spread deterministically by fractional part, largest
-    first, with stable index tie-breaks. Quantized masses are exact binary
+    residual is placed deterministically by fractional part, lowest index
+    first among equal fractions. A surplus gives every state one quantum
+    per whole multiple of the state count, then one more to each state
+    with the largest fractions until it is spent. A deficit is taken back
+    in passes that each take one quantum from every state above one
+    quantum: whole passes while they fit, then one quantum from each state
+    above one quantum with the smallest fractions until it is met; no
+    state goes below one quantum. Quantized masses are exact binary
     fractions, so the table sums to exactly 1.0.
 
     Small concentration concentrates mass on few states; as concentration
@@ -292,32 +312,27 @@ def random_distribution(
         if whole:
             quanta += whole
         if extra:
-            # the `extra` largest fractions, lowest index first among ties:
-            # the head of a stable descending sort, selected in O(n)
-            cut = np.partition(u, n_states - extra)[n_states - extra]
-            above = u > cut
-            quanta += above
-            ties = np.flatnonzero(u == cut)
-            quanta[ties[: extra - int(np.count_nonzero(above))]] += 1
+            quanta += _largest(u, extra)
     elif residual < 0:
-        order = np.argsort(u, kind="stable")
-        del u
+        # the most whole passes, each one quantum from every state above
+        # one quantum, that the deficit covers; the sums of whole quanta
+        # below 2**53 are exact. The capacities total target - n_states
+        # more than the deficit, so some state always stays above one.
         deficit = -residual
-        while deficit > 0:
-            # one pass, smallest fraction first, a run of states at a time:
-            # one quantum back from each of the first `deficit` states above
-            # one quantum
-            before = deficit
-            for start in range(0, n_states, _BLOCK):
-                run = order[start : start + _BLOCK]
-                takeable = run[quanta[run] > 1.0][:deficit]
-                quanta[takeable] -= 1.0
-                deficit -= takeable.size
-                if not deficit:
-                    break
-            # target >= n_states * 2**14, so an oversubscribed table always
-            # has states above one quantum
-            assert deficit < before
+        caps = quanta[quanta > 1.0] - 1.0
+        whole = bisect.bisect_right(
+            range(int(caps.max()) + 1), deficit,
+            key=lambda passes: np.minimum(caps, passes).sum()) - 1
+        extra = deficit - int(np.minimum(caps, whole).sum())
+        del caps
+        np.maximum(quanta - whole, 1.0, out=quanta)
+        if extra:
+            # the last pass: the `extra` smallest fractions of the states
+            # still above one quantum, negated into the head of u, which is
+            # not read again
+            above = np.flatnonzero(quanta > 1.0)
+            negated = np.negative(u[above], out=u[: above.size])
+            quanta[above[_largest(negated, extra)]] -= 1.0
 
     quanta /= float(target)
     return JointDistribution(cards, quanta, config=cfg)

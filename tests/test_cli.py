@@ -14,6 +14,7 @@ import hoinfo.cli
 import support
 from hoinfo import giant_bit, measure_report, parity
 from hoinfo.cli import main
+from hoinfo.generators import GENERATOR_KIND_ALIASES
 
 
 def run_cli(capsys, argv):
@@ -470,6 +471,15 @@ def test_batch_naming_stdin_runs_in_process(tmp_path, capsys, monkeypatch):
     assert lines[3]["error"]["type"] == "EmptyInputError"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_batch_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"gen": {"kind": "parity", "order": 3}}]))
+    code, out, err = run_cli(capsys, ["batch", str(manifest), "--jobs", jobs])
+    assert (code, out) == (1, "")
+    assert err == f"hoinfo: error: --jobs must be an integer >= 1, got {jobs}\n"
+
+
 @pytest.mark.parametrize("jobs,items,cpus,workers", [
     (1, 48, 2, 1), (2, 48, 2, 2), (8, 48, 2, 2), (10000, 48, 64, 48),
     (10000, 3, 64, 3), (4, 48, 64, 4), (0, 48, 2, 1), (-3, 48, 2, 1),
@@ -697,8 +707,8 @@ def test_batch_describes_stdin_input_as_stdin(tmp_path, capsys, monkeypatch):
     ("random_dirichlet_like", "random_dirichlet_like"),
 ])
 def test_gen_kind_spellings(capsys, spelling, kind):
-    code, out, _ = run_cli(capsys, ["gen", "--kind", spelling, "--order",
-                                    "2", "--n-vars", "2", "--seed", "1"])
+    code, out, _ = run_cli(
+        capsys, ["gen", "--kind", spelling, *cli_flags(CLI_SPECS[spelling])])
     assert code == 0
     assert out.startswith(f"gen:{kind}(")
 
@@ -755,12 +765,17 @@ CLI_SPECS = {
 }
 
 
+def cli_flags(values: dict) -> list[str]:
+    """The generator flags that set ``values``."""
+    return [arg for key, value in values.items()
+            for arg in (f"--{key.replace('_', '-')}", str(value))]
+
+
 @pytest.mark.parametrize("spelling", sorted(CLI_SPECS))
 def test_flags_and_manifest_give_equal_reports(tmp_path, capsys, spelling):
     values = CLI_SPECS[spelling]
-    flags = [arg for key, value in values.items()
-             for arg in (f"--{key.replace('_', '-')}", str(value))]
-    code, out, _ = run_cli(capsys, ["spectrum", "--gen", spelling, *flags])
+    code, out, _ = run_cli(
+        capsys, ["spectrum", "--gen", spelling, *cli_flags(values)])
     assert code == 0
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(
@@ -779,6 +794,30 @@ def batch_errors(tmp_path, capsys, items):
     code, out, _ = run_cli(capsys, ["batch", str(manifest)])
     assert code == 1
     return [json.loads(line).get("error") for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("spelling,key,value", [
+    ("parity", "n_vars", 5),
+    ("random", "order", 7),
+    ("giant-bit", "seed", 4),
+    ("giant-bit", "concentration", 0.5),
+    ("point-mass", "order", 2),
+    ("point_mass", "seed", 1),
+    ("random_dirichlet_like", "order", 2),
+])
+def test_generator_value_the_kind_does_not_read_is_an_error(
+        tmp_path, capsys, spelling, key, value):
+    kind = GENERATOR_KIND_ALIASES[spelling]
+    values = {**CLI_SPECS[spelling], key: value}
+    code, out, err = run_cli(
+        capsys, ["measures", "--gen", spelling, *cli_flags(values)])
+    assert (code, out) == (1, "")
+    assert err == (f"hoinfo: error: generator kind {kind!r} does not take "
+                   f"{key!r}\n")
+    [error] = batch_errors(tmp_path, capsys,
+                           [{"gen": {"kind": spelling, **values}}])
+    assert error == {"type": "InvalidOrderError",
+                     "message": err.removeprefix("hoinfo: error: ").strip()}
 
 
 def test_manifest_item_with_input_and_gen_is_an_error(tmp_path, capsys):

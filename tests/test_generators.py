@@ -205,24 +205,31 @@ def test_random_masses_strictly_positive_and_exactly_normalized():
     assert d.total_mass() == 1.0
 
 
-@pytest.mark.parametrize("concentration", [1.0, 1e3, 1e15, 0.02, 0.5, 2.0])
+@pytest.mark.parametrize("concentration",
+                         [1.0, 1e3, 1e15, 0.02, 0.001, 0.0005, 0.5, 2.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_residual_placement_matches_stable_sort(concentration, seed):
     # at concentration 1e15 the 4096 fractions take under 62 distinct
     # values, so the lowest-index tie-break decides most residual quanta;
     # at 0.02 most states round up to one quantum, so the residual is
-    # negative and quanta are taken back from the smallest fractions;
-    # 0.5 and 2.0 give the exponents 2 and 0.5, which numpy's power
-    # computes as a square and a square root
-    d = random_distribution(12, 2, seed=seed, concentration=concentration)
-    expected = support.random_masses_by_argsort(4096, seed, concentration)
-    assert d.dense_table().reshape(-1).tobytes() == expected.tobytes()
+    # negative and quanta are taken back from the smallest fractions; at
+    # 0.001 whole passes bring states down to one quantum, and with 37
+    # states at 0.0005 (seed 1) the deficit falls just past the passes
+    # that drain a state; 0.5 and 2.0 give the exponents 2 and 0.5, which
+    # numpy's power computes as a square and a square root
+    for cards in ((2,) * 12, (3, 5, 7, 11), (37,)):
+        d = random_distribution(len(cards), cards, seed=seed,
+                                concentration=concentration)
+        expected = support.random_masses_by_argsort(
+            math.prod(cards), seed, concentration)
+        assert d.dense_table().reshape(-1).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("concentration,buffers", [
     (1.0, 4),
     (1e15, 4),
-    (0.02, 5),  # a negative residual, taken back in stable-sort order
+    (0.02, 4),  # a negative residual: whole passes, then a last one
+    (0.001, 4),  # a negative residual that drains most states
 ])
 def test_random_table_is_built_in_few_table_sized_buffers(concentration,
                                                           buffers):
@@ -354,8 +361,17 @@ def test_compose_requires_specs():
 def test_spec_validation():
     with pytest.raises(InvalidOrderError):
         GeneratorSpec(kind="mystery")
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(InvalidOrderError, match="'parity' does not take "
+                                               "'components'"):
         GeneratorSpec(kind="parity", components=(GeneratorSpec(kind="parity"),))
+    with pytest.raises(InvalidOrderError, match="'independent_product' does "
+                                               "not take 'alphabet'"):
+        GeneratorSpec(kind="independent_product", alphabet=3,
+                      components=(GeneratorSpec(kind="parity", order=3),))
+    # a field that keeps its default is no breach
+    assert GeneratorSpec(kind="giant_bit", order=3, alphabet=2,
+                         concentration=1.0).describe() == (
+        "gen:giant_bit(order=3, alphabet=2)")
 
 
 def test_spec_dict_round_trip():
