@@ -531,11 +531,14 @@ def _entry_arrays(
     try:
         if set(map(len, states)) - {n}:
             return None
-        cells = list(itertools.chain.from_iterable(states))
-        if not (_all_of_type(cells, _is_int_type)
+        # the cells are read from the states twice rather than copied into
+        # one flat list
+        if not (_all_of_type(itertools.chain.from_iterable(states),
+                             _is_int_type)
                 and _all_of_type(raw_masses, _is_number_type)):
             return None
-        digits = np.fromiter(cells, _code_dtype(cards), len(cells))
+        digits = np.fromiter(itertools.chain.from_iterable(states),
+                             _code_dtype(cards), len(states) * n)
         masses = np.array(raw_masses, dtype=np.float64)
     except (TypeError, OverflowError):  # an unsized state; a huge number
         return None

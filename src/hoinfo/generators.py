@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distribution import (
+    _BLOCK,
     DEFAULT_CONFIG,
     EstimatorConfig,
     JointDistribution,
@@ -227,15 +228,109 @@ def point_mass(
     return _from_support(cards, codes, np.ones(1), cfg)
 
 
-def _largest(values: np.ndarray, count: int) -> np.ndarray:
-    """Mask of the ``count`` largest ``values`` (0 < count < size), lowest
-    index first among ties: the head of a stable descending sort, selected
-    in O(n)."""
-    cut = np.partition(values, values.size - count)[values.size - count]
+# The smallest int64: a negative float64's key is this less its bits.
+_KEY_BASE = -(1 << 63)
+
+# Each level of the selection splits its key range into up to
+# 2**_BUCKET_BITS = 4,096 buckets.
+_BUCKET_BITS = 12
+
+
+def _key(value: float) -> int:
+    """The order key of a finite float64: its bits as an int64, or for a
+    negative value (and -0.0) :data:`_KEY_BASE` less its bits. Keys order
+    as the values do, -0.0 and 0.0 share the key 0, and the keys of finite
+    values leave no gap."""
+    bits = int(np.float64(value).view(np.int64))
+    return bits if bits >= 0 else _KEY_BASE - bits
+
+
+def _value(key: int) -> float:
+    """The float64 whose :func:`_key` is ``key``."""
+    bits = key if key >= 0 else _KEY_BASE - key
+    return float(np.int64(bits).view(np.float64))
+
+
+def _offsets(values: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """The keys (:func:`_key`) of ``values`` less ``lo``, wrapped to uint64,
+    in the head of the int64 array ``out``: a key below ``lo`` wraps past
+    every key above it. When ``lo`` > 0 the bits of a negative value stand
+    in for its key, as they are below every key from 0 up."""
+    keys = out[: values.size]
+    bits = values.view(np.int64)
+    if lo > 0:
+        np.subtract(bits, lo, out=keys)
+    else:
+        np.copyto(keys, bits)
+        np.subtract(_KEY_BASE, keys, out=keys, where=keys < 0)
+        keys -= lo
+    return keys.view(np.uint64)
+
+
+def _largest(values: np.ndarray, count: int) -> tuple[float, int]:
+    """The ``count`` largest of the finite ``values`` (0 < count < size),
+    lowest index first among ties, as a stable descending sort heads them:
+    the values above ``cut`` and the first ``ties`` values equal to it.
+
+    Selected in O(n) without copying ``values``. The cut lies in a range
+    of keys (:func:`_key`), at first from the smallest value's to the
+    largest's. Each level counts the values in the range into 4,096
+    buckets of consecutive keys (:data:`_BUCKET_BITS`), reading
+    ``_BLOCK`` values at a time, and narrows the range to the bucket that
+    holds the cut. Once the range holds at most ``_BLOCK`` values they
+    alone are copied and partitioned; once it is a single key, that key
+    is the cut. No more than six levels split the 64-bit keys.
+    """
+    scratch = np.empty(min(values.size, _BLOCK), np.int64)
+    lo, hi = _key(values.min()), _key(values.max())
+    span = hi - lo + 1  # the range is the keys lo .. lo + span - 1
+    members = values.size  # the values in the range
+    blocks = range(0, values.size, _BLOCK)
+    while members > _BLOCK and span > 1:
+        shift = max((span - 1).bit_length() - _BUCKET_BITS, 0)
+        # one bucket more, last, counts the values outside the range; each
+        # range after the first is one bucket of the level before
+        counts = np.zeros(((span - 1) >> shift) + 2, np.int64)
+        for start in blocks:
+            bucket = _offsets(values[start:start + _BLOCK], lo, scratch)
+            if members < values.size:
+                np.minimum(bucket, span, out=bucket)
+            bucket >>= shift
+            counts += np.bincount(bucket.view(np.int64), minlength=counts.size)
+        # the buckets from the top down, and the values in them and above
+        down = counts[-2::-1]
+        at_or_above = np.cumsum(down)
+        top = int(np.searchsorted(at_or_above, count))
+        count -= int(at_or_above[top] - down[top])
+        members = int(down[top])
+        lo += (counts.size - 2 - top) << shift
+        span = 1 << shift
+    if span == 1:
+        return _value(lo), count
+    # the values of the range's keys, whose ends are finite and ordered
+    # as the keys are, since the keys leave no gap
+    low, high = _value(lo), _value(min(lo + span - 1, hi))
+    picked = np.empty(members)
+    filled = 0
+    for start in blocks:
+        block = values[start:start + _BLOCK]
+        inside = block[(block >= low) & (block <= high)]
+        picked[filled:filled + inside.size] = inside
+        filled += inside.size
+    picked.partition(members - count)
+    cut = picked[members - count]
+    return float(cut), count - int(np.count_nonzero(picked > cut))
+
+
+def _take(values: np.ndarray, cut: float, ties: int) -> tuple[np.ndarray, int]:
+    """Mask of the values :func:`_largest` chose in ``values``, the next run
+    of the array it selected from, and the ties left for the runs after."""
     chosen = values > cut
-    ties = np.flatnonzero(values == cut)
-    chosen[ties[: count - int(np.count_nonzero(chosen))]] = True
-    return chosen
+    if ties:
+        tied = np.flatnonzero(values == cut)[:ties]
+        chosen[tied] = True
+        ties -= tied.size
+    return chosen, ties
 
 
 def random_distribution(
@@ -268,7 +363,8 @@ def random_distribution(
     array). ``seed``, ``n_vars`` and every cardinality are integers (numpy
     integers too, bools not), the seed >= 0 and the others >= 1;
     ``concentration`` is a number > 0. Anything else raises
-    :class:`InvalidOrderError`.
+    :class:`InvalidOrderError`, as does a concentration so small that the
+    weights underflow to a sum that cannot be scaled to 2**B.
     """
     seed = _check_int(seed, "random seed", 0)
     n_vars = _check_int(n_vars, "random n_vars", 1)
@@ -292,47 +388,78 @@ def random_distribution(
             f"{cfg.max_dense_states}"
         )
 
-    # Built in place: u becomes w, then the scaled weights, then their
-    # fractions. The quanta are float64 whole numbers whose partial sums
-    # stay below 2**53, so every += and their sum are exact. Placing the
-    # residual takes one more table-sized buffer.
+    # Built in place in two table-sized buffers: u becomes w, then the
+    # scaled weights, then their fractions, beside the quanta. The quanta
+    # are float64 whole numbers whose partial sums stay below 2**53, so
+    # every += and their sum are exact. The residual is placed a _BLOCK at
+    # a time; only a negative one gathers the capacities of the states
+    # above one quantum.
     u = np.random.default_rng(seed).random(n_states)
     np.subtract(1.0, u, out=u)
-    u **= 1.0 / concentration  # w, in (0, 1]
+    u **= 1.0 / concentration  # w, in [0, 1]
 
     bits = min(48, max(40, n_states.bit_length() + 14))
     target = 1 << bits
-    u *= target / _fold(u)
+    total = _fold(u)
+    scale = target / total if total > 0.0 else math.inf
+    if math.isinf(scale):
+        raise InvalidOrderError(
+            f"concentration {concentration!r} is too small for a random "
+            f"table of {n_states} states: the weights (1 - u) ** "
+            f"(1 / concentration) underflow to a sum of {total!r}"
+        )
+    u *= scale
     quanta = np.floor(u)
     u -= quanta  # the fractions
     np.maximum(quanta, 1.0, out=quanta)
     residual = target - int(quanta.sum())
+    blocks = range(0, n_states, _BLOCK)
     if residual > 0:
         whole, extra = divmod(residual, n_states)
         if whole:
             quanta += whole
         if extra:
-            quanta += _largest(u, extra)
+            cut, ties = _largest(u, extra)
+            for start in blocks:
+                chosen, ties = _take(u[start:start + _BLOCK], cut, ties)
+                quanta[start:start + _BLOCK] += chosen
     elif residual < 0:
         # the most whole passes, each one quantum from every state above
         # one quantum, that the deficit covers; the sums of whole quanta
         # below 2**53 are exact. The capacities total target - n_states
         # more than the deficit, so some state always stays above one.
         deficit = -residual
-        caps = quanta[quanta > 1.0] - 1.0
-        whole = bisect.bisect_right(
-            range(int(caps.max()) + 1), deficit,
-            key=lambda passes: np.minimum(caps, passes).sum()) - 1
-        extra = deficit - int(np.minimum(caps, whole).sum())
+        caps = quanta[quanta > 1.0]
+        caps -= 1.0
+
+        def taken(passes: int) -> int:
+            return int(sum(np.minimum(caps[start:start + _BLOCK], passes).sum()
+                           for start in range(0, caps.size, _BLOCK)))
+
+        whole = bisect.bisect_right(range(int(caps.max()) + 1), deficit,
+                                    key=taken) - 1
+        extra = deficit - taken(whole)
         del caps
-        np.maximum(quanta - whole, 1.0, out=quanta)
+        quanta -= whole
+        np.maximum(quanta, 1.0, out=quanta)
         if extra:
             # the last pass: the `extra` smallest fractions of the states
             # still above one quantum, negated into the head of u, which is
             # not read again
-            above = np.flatnonzero(quanta > 1.0)
-            negated = np.negative(u[above], out=u[: above.size])
-            quanta[above[_largest(negated, extra)]] -= 1.0
+            size = 0
+            for start in blocks:
+                above = quanta[start:start + _BLOCK] > 1.0
+                fractions = u[start:start + _BLOCK][above]
+                np.negative(fractions, out=u[size:size + fractions.size])
+                size += fractions.size
+            cut, ties = _largest(u[:size], extra)
+            size = 0
+            for start in blocks:
+                run = quanta[start:start + _BLOCK]
+                above = np.flatnonzero(run > 1.0)
+                chosen, ties = _take(u[size:size + above.size], cut, ties)
+                run[above[chosen]] -= 1.0
+                size += above.size
 
     quanta /= float(target)
     return JointDistribution(cards, quanta, config=cfg)

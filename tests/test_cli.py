@@ -372,6 +372,54 @@ def run_cli_process(argv, cwd, stdin=b"", prelude="", env=None):
         timeout=120)
 
 
+def test_random_weights_that_underflow_exit_1_with_one_line(tmp_path):
+    run = run_cli_process(["gen", "--kind", "random", "--n-vars", "3",
+                           "--seed", "0", "--concentration", "1e-300"], tmp_path)
+    assert (run.returncode, run.stdout) == (1, b"")
+    [line] = run.stderr.splitlines()
+    assert line.startswith(b"hoinfo: error: concentration 1e-300 ")
+    assert b" 8 states" in line
+
+
+# Spawns the CLI with the arguments after it and prints its exit code and
+# ru_maxrss. On Linux a child's ru_maxrss counts the resident memory of the
+# process that spawned it, so the CLI is spawned from this small interpreter,
+# not from the test process.
+PEAK_RSS_OF_CLI = """
+import os, sys
+pid = os.posix_spawn(
+    sys.executable, [sys.executable, "-m", "hoinfo", *sys.argv[1:]], os.environ,
+    file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_peak_rss(argv, cwd):
+    """Peak resident set size, in bytes, of a child interpreter running the
+    CLI with ``argv``."""
+    src = str(Path(hoinfo.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF_CLI, *argv], cwd=cwd,
+        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120, check=True)
+    code, peak = map(int, run.stdout.split())
+    assert code == 0
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return peak * (1 if sys.platform == "darwin" else 1024)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_random_table_cli_peak_memory_is_about_two_tables(tmp_path):
+    # a 2**20-state table is 8 MiB; the 2**4-state run is the interpreter,
+    # numpy and hoinfo alone
+    argv = ["measures", "--gen", "random", "--seed", "1", "--n-vars"]
+    table = 8 * 2**20
+    growth = (child_peak_rss([*argv, "20"], tmp_path)
+              - child_peak_rss([*argv, "4"], tmp_path))
+    assert growth <= 2.5 * table + 2 * 2**20
+
+
 @pytest.mark.parametrize("env", [{}, {"LC_ALL": "C"}], ids=["default", "LC_ALL=C"])
 def test_stdin_that_is_not_utf8_exits_1_whatever_the_locale(tmp_path, env):
     # Python's UTF-8 mode would decode these bytes with surrogateescape

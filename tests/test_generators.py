@@ -19,6 +19,7 @@ from hoinfo import (
     entropy,
     gamma_k,
     generate,
+    generators,
     giant_bit,
     leave_one_out,
     marginalize,
@@ -32,6 +33,7 @@ from hoinfo import (
     spec_from_dict,
     total_correlation,
 )
+from hoinfo.distribution import _BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +227,51 @@ def test_random_residual_placement_matches_stable_sort(concentration, seed):
         assert d.dense_table().reshape(-1).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("concentration", [1e15, 0.02, 0.001])
+def test_random_residual_placement_beyond_one_block(concentration):
+    # 2**17 states, four _BLOCKs: at 1e15 the residual's cut is found among
+    # the whole table's fractions, and at 0.02 among the negated fractions
+    # of 40,996 states above one quantum, each in more than one block
+    d = random_distribution(17, 2, seed=1, concentration=concentration)
+    expected = support.random_masses_by_argsort(2**17, 1, concentration)
+    assert d.dense_table().reshape(-1).tobytes() == expected.tobytes()
+
+
+def _largest_values(case: str, size: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    if case == "equal":
+        return np.full(size, 0.375)
+    if case == "three":
+        return rng.choice([0.25, 0.5, 0.75], size)
+    if case == "narrow":  # a range 1e-12 wide
+        return 0.5 + rng.random(size) * 1e-12
+    return rng.random(size)
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["plain", "negated"])
+@pytest.mark.parametrize("case", ["equal", "three", "narrow", "uniform"])
+def test_largest_matches_stable_argsort(case, negated):
+    size = 2**17
+    values = _largest_values(case, size)
+    if negated:
+        values = -values
+    for count in (1, 7, size // 3, size - 1):
+        expected = np.zeros(size, dtype=bool)
+        expected[np.argsort(-values, kind="stable")[:count]] = True
+        cut, ties = generators._largest(values, count)
+        chosen = []
+        for start in range(0, size, _BLOCK):
+            run, ties = generators._take(values[start:start + _BLOCK], cut, ties)
+            chosen.append(run)
+        assert ties == 0
+        assert np.array_equal(np.concatenate(chosen), expected), count
+
+
 @pytest.mark.parametrize("concentration,buffers", [
-    (1.0, 4),
-    (1e15, 4),
-    (0.02, 4),  # a negative residual: whole passes, then a last one
-    (0.001, 4),  # a negative residual that drains most states
+    (1.0, 2.5),
+    (1e15, 2.5),
+    (0.02, 2.5),  # a negative residual: whole passes, then a last one
+    (0.001, 2.5),  # a negative residual that drains most states
 ])
 def test_random_table_is_built_in_few_table_sized_buffers(concentration,
                                                           buffers):
@@ -241,6 +283,15 @@ def test_random_table_is_built_in_few_table_sized_buffers(concentration,
     finally:
         tracemalloc.stop()
     assert peak <= buffers * 8 * 2**n_vars
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_weights_that_underflow_are_an_error(seed):
+    # every weight underflows to 0.0 at seed 0; at seed 1 they sum to a
+    # subnormal whose reciprocal overflows
+    with pytest.raises(InvalidOrderError,
+                       match="concentration 0.001 .* of 1 states"):
+        random_distribution(1, 1, seed=seed, concentration=0.001)
 
 
 def test_random_high_concentration_approaches_uniform():
