@@ -30,6 +30,7 @@ from .distribution import (
     EstimatorConfig,
     JointDistribution,
     _count_states,
+    _count_text,
     estimate_from_samples,  # noqa: F401 - perfbench/traced.py wraps this name
 )
 from .errors import (
@@ -302,7 +303,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sys.stdout.write(
             f"{spec.describe()}: n_vars={dist.n_vars}, "
             f"cardinalities={list(dist.cardinalities)}, "
-            f"support={dist.support_size}/{dist.n_states}\n"
+            f"support={dist.support_size}/{_count_text(dist.n_states)}\n"
         )
     return 0
 

@@ -21,10 +21,14 @@ index order, sparse supports in ascending code order. Because adding an
 exact zero never perturbs an accumulator, the two representations of the
 same distribution produce bit-identical marginal masses, entropies, and
 therefore bit-identical measures, and every result is reproducible run to
-run. An entropy is one left fold of the terms p*log2(p) of the positive
-masses in that order, computed a block at a time; a block with no zero
-cell is folded whole, which gives the same terms in the same order as
-selecting its positive cells.
+run on one host with one numpy build. Across the CPU targets numpy
+dispatches to, an entropy can move in its last bit, as ``np.log2`` rounds
+some values differently on each.
+
+An entropy is one left fold of the terms p*log2(p) of the positive masses
+in that order, computed a block at a time; a block with no zero cell is
+folded whole, which gives the same terms in the same order as selecting
+its positive cells.
 
 Every dense fold and every dense marginal walks the same row-major blocks
 of at most ``_BLOCK`` cells. A dense marginal is folded from strided views
@@ -430,8 +434,8 @@ class JointDistribution:
         """Materialize the full table as a writable array copy."""
         if self.n_states > self.config.max_dense_states:
             raise TableTooLargeError(
-                f"{self.n_states} states exceed max_dense_states="
-                f"{self.config.max_dense_states}"
+                f"{_count_text(self.n_states)} states exceed "
+                f"max_dense_states={_count_text(self.config.max_dense_states)}"
             )
         codes, masses = self._support()
         table = np.zeros(self.n_states, dtype=np.float64)
@@ -457,7 +461,7 @@ class JointDistribution:
             f"JointDistribution(n_vars={self.n_vars}, "
             f"cardinalities={list(self.cardinalities)}, "
             f"representation={self.representation!r}, "
-            f"support={self.support_size}/{self.n_states})"
+            f"support={self.support_size}/{_count_text(self.n_states)})"
         )
 
     # -- internals -------------------------------------------------------------
@@ -493,9 +497,20 @@ def _check_support_size(n_support: int, cfg: EstimatorConfig) -> None:
     arrays."""
     if n_support > cfg.max_dense_states:
         raise TableTooLargeError(
-            f"sparse support of {n_support} states exceeds "
-            f"max_dense_states={cfg.max_dense_states}"
+            f"sparse support of {_count_text(n_support)} states exceeds "
+            f"max_dense_states={_count_text(cfg.max_dense_states)}"
         )
+
+
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or from 10**18 up rounded to six digits, as in
+    ``~4.99501e+30102``: str() of an int past 4,300 digits raises
+    ValueError, and a longer number says no more."""
+    if count < 10**18:
+        return str(count)
+    from decimal import Decimal  # imported only for a count this long
+
+    return f"~{Decimal(count):.5e}"
 
 
 def _all_of_type(values: Iterable[object], accept) -> bool:

@@ -31,6 +31,7 @@ from .distribution import (
     EstimatorConfig,
     JointDistribution,
     _check_support_size,
+    _count_text,
     _digits,
     _encode,
     _fold,
@@ -228,103 +229,25 @@ def point_mass(
     return _from_support(cards, codes, np.ones(1), cfg)
 
 
-# The smallest int64: a negative float64's key is this less its bits.
-_KEY_BASE = -(1 << 63)
-
-# Each level of the selection splits its key range into up to
-# 2**_BUCKET_BITS = 4,096 buckets.
-_BUCKET_BITS = 12
-
-
-def _key(value: float) -> int:
-    """The order key of a finite float64: its bits as an int64, or for a
-    negative value (and -0.0) :data:`_KEY_BASE` less its bits. Keys order
-    as the values do, -0.0 and 0.0 share the key 0, and the keys of finite
-    values leave no gap."""
-    bits = int(np.float64(value).view(np.int64))
-    return bits if bits >= 0 else _KEY_BASE - bits
-
-
-def _value(key: int) -> float:
-    """The float64 whose :func:`_key` is ``key``."""
-    bits = key if key >= 0 else _KEY_BASE - key
-    return float(np.int64(bits).view(np.float64))
-
-
-def _offsets(values: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
-    """The keys (:func:`_key`) of ``values`` less ``lo``, wrapped to uint64,
-    in the head of the int64 array ``out``: a key below ``lo`` wraps past
-    every key above it. When ``lo`` > 0 the bits of a negative value stand
-    in for its key, as they are below every key from 0 up."""
-    keys = out[: values.size]
-    bits = values.view(np.int64)
-    if lo > 0:
-        np.subtract(bits, lo, out=keys)
-    else:
-        np.copyto(keys, bits)
-        np.subtract(_KEY_BASE, keys, out=keys, where=keys < 0)
-        keys -= lo
-    return keys.view(np.uint64)
-
-
-def _largest(values: np.ndarray, count: int) -> tuple[float, int]:
+def _cut(values: np.ndarray, count: int) -> tuple[float, int]:
     """The ``count`` largest of the finite ``values`` (0 < count < size),
     lowest index first among ties, as a stable descending sort heads them:
     the values above ``cut`` and the first ``ties`` values equal to it.
 
-    Selected in O(n) without copying ``values``. The cut lies in a range
-    of keys (:func:`_key`), at first from the smallest value's to the
-    largest's. Each level counts the values in the range into 4,096
-    buckets of consecutive keys (:data:`_BUCKET_BITS`), reading
-    ``_BLOCK`` values at a time, and narrows the range to the bucket that
-    holds the cut. Once the range holds at most ``_BLOCK`` values they
-    alone are copied and partitioned; once it is a single key, that key
-    is the cut. No more than six levels split the 64-bit keys.
+    Partitions ``values`` in place, so :func:`_take` picks them out of
+    the values as they stood before, or of the same values recomputed.
     """
-    scratch = np.empty(min(values.size, _BLOCK), np.int64)
-    lo, hi = _key(values.min()), _key(values.max())
-    span = hi - lo + 1  # the range is the keys lo .. lo + span - 1
-    members = values.size  # the values in the range
-    blocks = range(0, values.size, _BLOCK)
-    while members > _BLOCK and span > 1:
-        shift = max((span - 1).bit_length() - _BUCKET_BITS, 0)
-        # one bucket more, last, counts the values outside the range; each
-        # range after the first is one bucket of the level before
-        counts = np.zeros(((span - 1) >> shift) + 2, np.int64)
-        for start in blocks:
-            bucket = _offsets(values[start:start + _BLOCK], lo, scratch)
-            if members < values.size:
-                np.minimum(bucket, span, out=bucket)
-            bucket >>= shift
-            counts += np.bincount(bucket.view(np.int64), minlength=counts.size)
-        # the buckets from the top down, and the values in them and above
-        down = counts[-2::-1]
-        at_or_above = np.cumsum(down)
-        top = int(np.searchsorted(at_or_above, count))
-        count -= int(at_or_above[top] - down[top])
-        members = int(down[top])
-        lo += (counts.size - 2 - top) << shift
-        span = 1 << shift
-    if span == 1:
-        return _value(lo), count
-    # the values of the range's keys, whose ends are finite and ordered
-    # as the keys are, since the keys leave no gap
-    low, high = _value(lo), _value(min(lo + span - 1, hi))
-    picked = np.empty(members)
-    filled = 0
-    for start in blocks:
-        block = values[start:start + _BLOCK]
-        inside = block[(block >= low) & (block <= high)]
-        picked[filled:filled + inside.size] = inside
-        filled += inside.size
-    picked.partition(members - count)
-    cut = picked[members - count]
-    return float(cut), count - int(np.count_nonzero(picked > cut))
+    at = values.size - count
+    values.partition(at)
+    cut = values[at]
+    above = sum(np.count_nonzero(values[start:start + _BLOCK] > cut)
+                for start in range(at + 1, values.size, _BLOCK))
+    return float(cut), count - above
 
 
 def _take(values: np.ndarray, cut: float, ties: int) -> tuple[np.ndarray, int]:
-    """Mask of the values :func:`_largest` chose in ``values``, the next run
-    of the array it selected from, and the ties left for the runs after."""
+    """Mask of the values :func:`_cut` chose in ``values``, the next run of
+    the values it selected from, and the ties left for the runs after."""
     chosen = values > cut
     if ties:
         tied = np.flatnonzero(values == cut)[:ties]
@@ -384,16 +307,18 @@ def random_distribution(
     n_states = math.prod(cards)
     if n_states > cfg.max_dense_states:
         raise TableTooLargeError(
-            f"random table of {n_states} states exceeds max_dense_states="
-            f"{cfg.max_dense_states}"
+            f"random table of {_count_text(n_states)} states exceeds "
+            f"max_dense_states={_count_text(cfg.max_dense_states)}"
         )
 
-    # Built in place in two table-sized buffers: u becomes w, then the
-    # scaled weights, then their fractions, beside the quanta. The quanta
-    # are float64 whole numbers whose partial sums stay below 2**53, so
-    # every += and their sum are exact. The residual is placed a _BLOCK at
-    # a time; only a negative one gathers the capacities of the states
-    # above one quantum.
+    # Built in place in two table-sized buffers. u is drawn, then becomes
+    # w, then the scaled weights, which it keeps until the residual's cut
+    # is found, then their fractions. q is first the scratch of the
+    # selection: the fractions, which a surplus partitions, or the values
+    # a deficit gathers into its head. Then q holds the quanta: float64
+    # whole numbers whose partial sums stay below 2**53, so every += and
+    # their sum are exact. The fractions u - floor(u) are exact too, so
+    # they are recomputed where needed; all else is a _BLOCK at a time.
     u = np.random.default_rng(seed).random(n_states)
     np.subtract(1.0, u, out=u)
     u **= 1.0 / concentration  # w, in [0, 1]
@@ -409,60 +334,72 @@ def random_distribution(
             f"(1 / concentration) underflow to a sum of {total!r}"
         )
     u *= scale
-    quanta = np.floor(u)
-    u -= quanta  # the fractions
-    np.maximum(quanta, 1.0, out=quanta)
-    residual = target - int(quanta.sum())
-    blocks = range(0, n_states, _BLOCK)
-    if residual > 0:
-        whole, extra = divmod(residual, n_states)
-        if whole:
-            quanta += whole
-        if extra:
-            cut, ties = _largest(u, extra)
-            for start in blocks:
-                chosen, ties = _take(u[start:start + _BLOCK], cut, ties)
-                quanta[start:start + _BLOCK] += chosen
-    elif residual < 0:
+    q = np.empty(n_states)
+    scratch = np.empty(min(n_states, _BLOCK))
+
+    def runs(values: np.ndarray) -> list[np.ndarray]:
+        """``values`` as views of _BLOCK values, the last one shorter."""
+        return np.split(values, range(_BLOCK, values.size, _BLOCK))
+
+    def gather(above: float, fractions: bool) -> np.ndarray:
+        """The head of q, filled in index order with floor(u) - u, the
+        negated fraction, if ``fractions``, else floor(u) - 1, of each
+        state whose floor(u) > ``above``."""
+        size = 0
+        for block in runs(u):
+            run = np.floor(block, out=scratch[:block.size])
+            kept = run > above
+            np.subtract(run, block if fractions else 1.0, out=run)
+            count = np.count_nonzero(kept)
+            np.compress(kept, run, out=q[size:size + count])
+            size += count
+        return q[:size]
+
+    residual = target
+    for block, run in zip(runs(u), runs(q)):  # q: the fractions
+        floors = np.floor(block, out=scratch[:block.size])
+        np.subtract(block, floors, out=run)
+        residual -= int(np.maximum(floors, 1.0, out=floors).sum())
+    whole, extra = divmod(max(residual, 0), n_states)
+    if residual < 0:
         # the most whole passes, each one quantum from every state above
-        # one quantum, that the deficit covers; the sums of whole quanta
-        # below 2**53 are exact. The capacities total target - n_states
-        # more than the deficit, so some state always stays above one.
-        deficit = -residual
-        caps = quanta[quanta > 1.0]
-        caps -= 1.0
+        # one quantum, that the deficit covers. The capacities total
+        # target - n_states more than the deficit, so some state always
+        # stays above one quantum.
+        caps = gather(1.0, fractions=False)
 
         def taken(passes: int) -> int:
-            return int(sum(np.minimum(caps[start:start + _BLOCK], passes).sum()
-                           for start in range(0, caps.size, _BLOCK)))
+            return int(sum(np.minimum(run, passes, out=scratch[:run.size]).sum()
+                           for run in runs(caps)))
 
-        whole = bisect.bisect_right(range(int(caps.max()) + 1), deficit,
+        whole = bisect.bisect_right(range(int(caps.max()) + 1), -residual,
                                     key=taken) - 1
-        extra = deficit - taken(whole)
-        del caps
-        quanta -= whole
-        np.maximum(quanta, 1.0, out=quanta)
+        extra = -residual - taken(whole)
         if extra:
-            # the last pass: the `extra` smallest fractions of the states
-            # still above one quantum, negated into the head of u, which is
-            # not read again
-            size = 0
-            for start in blocks:
-                above = quanta[start:start + _BLOCK] > 1.0
-                fractions = u[start:start + _BLOCK][above]
-                np.negative(fractions, out=u[size:size + fractions.size])
-                size += fractions.size
-            cut, ties = _largest(u[:size], extra)
-            size = 0
-            for start in blocks:
-                run = quanta[start:start + _BLOCK]
-                above = np.flatnonzero(run > 1.0)
-                chosen, ties = _take(u[size:size + above.size], cut, ties)
-                run[above[chosen]] -= 1.0
-                size += above.size
+            # the last pass takes one quantum each from the `extra` states
+            # with the smallest fractions among those still above one
+            # quantum, whose floor(u) > whole + 1
+            cut, ties = _cut(gather(whole + 1.0, fractions=True), extra)
+    elif extra:
+        cut, ties = _cut(q, extra)
+    # the quanta are max(floor(u), 1) + whole for a surplus, which is
+    # max(floor(u) + whole, 1 + whole), and max(floor(u) - whole, 1) for a
+    # deficit; then a quantum more, or less, for each state chosen
+    shift = whole if residual > 0 else -whole
+    step = np.add if residual > 0 else np.subtract
+    for block, run in zip(runs(u), runs(q)):  # q was scratch
+        block -= np.floor(block, out=run)  # the floors, and the fractions
+        run += shift
+        np.maximum(run, 1.0 + max(shift, 0), out=run)
+        if extra:
+            if residual < 0:  # negated as gathered, and none at one quantum
+                np.negative(block, out=block)
+                block[run == 1.0] = -np.inf
+            chosen, ties = _take(block, cut, ties)
+            step(run, chosen, out=run)
 
-    quanta /= float(target)
-    return JointDistribution(cards, quanta, config=cfg)
+    q /= float(target)
+    return JointDistribution(cards, q, config=cfg)
 
 
 def generate(

@@ -150,6 +150,23 @@ def test_gen_summary_without_emit(capsys):
     assert "support=4/8" in out
 
 
+def test_huge_gadget_exits_1_on_one_line(capsys):
+    code, out, err = run_cli(
+        capsys, ["measures", "--gen", "parity", "--order", "100000"])
+    assert (code, out) == (1, "")
+    assert err == ("hoinfo: error: sparse support of ~4.99501e+30102 states "
+                   "exceeds max_dense_states=67108864\n")
+
+
+def test_gen_summary_of_a_huge_point_mass(capsys):
+    # one state of 2**20000: a valid distribution, its state count short
+    code, out, err = run_cli(
+        capsys, ["gen", "--kind", "point-mass", "--n-vars", "20000"])
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+    assert out.endswith(", support=1/~3.98028e+6020\n")
+
+
 def test_gen_invalid_order_exits_1(capsys):
     code, _, err = run_cli(
         capsys, ["gen", "--kind", "parity", "--order", "1", "--emit"])

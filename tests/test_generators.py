@@ -218,8 +218,10 @@ def test_random_residual_placement_matches_stable_sort(concentration, seed):
     # 0.001 whole passes bring states down to one quantum, and with 37
     # states at 0.0005 (seed 1) the deficit falls just past the passes
     # that drain a state; 0.5 and 2.0 give the exponents 2 and 0.5, which
-    # numpy's power computes as a square and a square root
-    for cards in ((2,) * 12, (3, 5, 7, 11), (37,)):
+    # numpy's power computes as a square and a square root; at 0.02 the
+    # 3 states of seeds 0 and 2 leave a residual of exactly 0 with one
+    # state's floor at 0 quanta, which still gets one quantum
+    for cards in ((2,) * 12, (3, 5, 7, 11), (37,), (3,)):
         d = random_distribution(len(cards), cards, seed=seed,
                                 concentration=concentration)
         expected = support.random_masses_by_argsort(
@@ -258,7 +260,7 @@ def test_largest_matches_stable_argsort(case, negated):
     for count in (1, 7, size // 3, size - 1):
         expected = np.zeros(size, dtype=bool)
         expected[np.argsort(-values, kind="stable")[:count]] = True
-        cut, ties = generators._largest(values, count)
+        cut, ties = generators._cut(values.copy(), count)  # partitions it
         chosen = []
         for start in range(0, size, _BLOCK):
             run, ties = generators._take(values[start:start + _BLOCK], cut, ties)
@@ -271,6 +273,7 @@ def test_largest_matches_stable_argsort(case, negated):
     (1.0, 2.5),
     (1e15, 2.5),
     (0.02, 2.5),  # a negative residual: whole passes, then a last one
+    (0.05, 2.5),  # the same, with more states above one quantum
     (0.001, 2.5),  # a negative residual that drains most states
 ])
 def test_random_table_is_built_in_few_table_sized_buffers(concentration,
@@ -492,6 +495,32 @@ def test_gadget_over_cap_fails_before_allocating(make, args):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("make,args,message", [
+    (parity, (100000,), "sparse support of ~4.99501e+30102 states"),
+    (giant_bit, (2, 10**5000), "sparse support of ~1.00000e+5000 states"),
+    (random_distribution, (100000, 2, 0), "random table of ~9.99002e+30102"),
+    (random_distribution, (2, (10**5000, 2), 0),
+     "random table of ~2.00000e+5000"),
+    (parity, (14000,), "sparse support of ~1.31495e+4214 states"),
+])
+def test_huge_state_count_is_too_large_in_a_short_message(make, args, message):
+    # str() of an int past 4,300 digits raises ValueError; the count is
+    # written in six digits instead
+    with pytest.raises(TableTooLargeError) as raised:
+        make(*args)
+    text = str(raised.value)
+    assert text.startswith(message) and "max_dense_states=" in text
+    assert len(text) < 100
+
+
+def test_huge_point_mass_writes_its_state_count_short():
+    d = point_mass(20000, 2)
+    assert repr(d).endswith("support=1/~3.98028e+6020)")
+    with pytest.raises(TableTooLargeError,
+                       match=r"^~3\.98028e\+6020 states exceed"):
+        d.dense_table()
 
 
 def test_gadget_at_cap_is_built():
