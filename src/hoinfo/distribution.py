@@ -55,19 +55,20 @@ exact integers, so the counts, and each mass count / rows, have the same
 bits however the rows were grouped.
 
 The entropy profile of a distribution (H(X), every H(X_i) and every
-H(X^{-i})) is built by one function, :func:`_entropy_profile`, the first
-time a measure asks for it, and kept on the distribution as floats; every
-later measure of that distribution that needs it reads the kept profile,
-so each value has the bits of that one build. The profile reads the one
-marginal kernel. The singles are the entropies of the leaves of a halving
-tree of :func:`marginalize` calls (the first half of the variables, then
-the second, recursively), the same calls in both representations; so they
-can differ in the last bits from the entropy of a direct one-variable
-marginal. The leave-one-out entropies of a dense table are folded from the
-blocks of :func:`_marginal_blocks` as they are made, without
-materializing the marginal; :func:`marginalize` writes the same blocks and
-:func:`entropy` folds the same terms in the same order, so they have the
-bits of ``entropy(leave_one_out(dist, i))``.
+H(X^{-i})) is built by one function, :func:`_entropy_profile`, and kept on
+the distribution as floats in two halves: H(X) and the singles the first
+time a measure asks for them, the leave-one-out entropies the first time
+a measure needs them too. Every later measure of that distribution reads
+the kept profile, so each value has the bits of that one build. The
+profile reads the one marginal kernel. The singles are the entropies of
+the leaves of a halving tree of :func:`marginalize` calls (the first half
+of the variables, then the second, recursively), the same calls in both
+representations; so they can differ in the last bits from the entropy of
+a direct one-variable marginal. The leave-one-out entropies of a dense
+table are folded from the blocks of :func:`_marginal_blocks` as they are
+made, without materializing the marginal; :func:`marginalize` writes the
+same blocks and :func:`entropy` folds the same terms in the same order, so
+they have the bits of ``entropy(leave_one_out(dist, i))``.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class EstimatorConfig:
                 and self.max_dense_states >= 1):
             raise MalformedInputError(
                 f"max_dense_states must be an integer >= 1, "
-                f"got {self.max_dense_states!r}"
+                f"got {_count_text(self.max_dense_states)}"
             )
 
 
@@ -341,7 +342,8 @@ def as_subset(indices: Iterable[int], n_vars: int) -> VariableSubset:
         raise EmptySubsetError("variable subset must be non-empty")
     if idx[0] < 0 or idx[-1] >= n_vars:
         raise IndexOutOfRangeError(
-            f"variable index out of range for a {n_vars}-variable system: {idx}"
+            f"variable index out of range for a {n_vars}-variable system: "
+            f"{_ints_text(idx)}"
         )
     return tuple(idx)
 
@@ -353,10 +355,10 @@ class JointDistribution:
     :func:`estimate_from_samples`; all operations return new objects and the
     underlying storage is never mutated, so instances are safe to share
     across threads. The one slot written after construction is
-    ``_profile``: :func:`_entropy_profile` fills it once, on first use, with
-    an :class:`EntropyProfile` of floats, never tables. It needs no lock:
-    threads that race on it compute the same bits, and whichever result is
-    kept is the same profile.
+    ``_profile``: :func:`_entropy_profile` fills it in two halves, each
+    once, with an :class:`EntropyProfile` of floats, never tables. It needs
+    no lock: threads that race on it compute the same bits, so a race costs
+    at most a recomputation, and every profile kept has the same values.
 
     Attributes
     ----------
@@ -503,14 +505,27 @@ def _check_support_size(n_support: int, cfg: EstimatorConfig) -> None:
 
 
 def _count_text(count: int) -> str:
-    """``count`` in decimal, or from 10**18 up rounded to six digits, as in
-    ``~4.99501e+30102``: str() of an int past 4,300 digits raises
-    ValueError, and a longer number says no more."""
-    if count < 10**18:
+    """An int in decimal, or from 10**18 up in magnitude rounded to six
+    digits, as in ``~4.99501e+30102``: str() of an int past 4,300 digits
+    raises ValueError, and a longer number says no more. Error messages
+    quote every int a caller gives through this, and a value of another
+    type by its repr."""
+    if not _is_int_type(type(count)):
+        return repr(count)
+    if -10**18 < count < 10**18:
         return str(count)
-    from decimal import Decimal  # imported only for a count this long
+    from decimal import Decimal  # imported only for an int this long
 
-    return f"~{Decimal(count):.5e}"
+    return f"~{Decimal(int(count)):.5e}"
+
+
+def _ints_text(values: Sequence[int]) -> str:
+    """``str(values)`` of a tuple or list of ints, each int written by
+    :func:`_count_text`."""
+    text = ", ".join(map(_count_text, values))
+    if isinstance(values, list):
+        return f"[{text}]"
+    return f"({text},)" if len(values) == 1 else f"({text})"
 
 
 def _all_of_type(values: Iterable[object], accept) -> bool:
@@ -582,12 +597,14 @@ def _state_fault(raw_state: object, cards: State):
     state = tuple(int(x) for x in cells)
     if len(state) != len(cards):
         return StateOutOfRangeError(
-            f"state {state} has arity {len(state)}, expected {len(cards)}"
+            f"state {_ints_text(state)} has arity {len(state)}, "
+            f"expected {len(cards)}"
         )
     for i, (s, c) in enumerate(zip(state, cards)):
         if not 0 <= s < c:
             return StateOutOfRangeError(
-                f"coordinate {i} of state {state} outside [0, {c})"
+                f"coordinate {i} of state {_ints_text(state)} outside "
+                f"[0, {_count_text(c)})"
             )
     return None
 
@@ -801,22 +818,35 @@ def _leave_one_out_entropies(dist: JointDistribution) -> tuple[float, ...]:
 @dataclass(frozen=True, slots=True)
 class EntropyProfile:
     """The entropies every multivariate measure is read from: H(X), each
-    H(X_i) and each H(X^{-i}), in variable index order, as Python floats."""
+    H(X_i) and each H(X^{-i}), in variable index order, as Python floats.
+    The first half, H(X) and the singles, is a profile on its own; its
+    leave-one-out half is then ``()``."""
 
     joint: float
     singles: tuple[float, ...]
-    leave_one_out: tuple[float, ...]
+    leave_one_out: tuple[float, ...] = ()
 
 
-def _entropy_profile(dist: JointDistribution) -> EntropyProfile:
-    """The entropy profile of ``dist`` (N >= 2), from :func:`entropy`,
-    :func:`_single_entropies` and :func:`_leave_one_out_entropies`; built
-    on first use and kept in ``dist._profile``, which every later call
-    reads."""
-    if dist._profile is None:
-        dist._profile = EntropyProfile(entropy(dist), _single_entropies(dist),
-                                       _leave_one_out_entropies(dist))
-    return dist._profile
+def _entropy_profile(dist: JointDistribution,
+                     leave_one_out: bool = True) -> EntropyProfile:
+    """The entropy profile of ``dist``, kept in ``dist._profile`` in two
+    halves: H(X) and the singles (:func:`entropy`,
+    :func:`_single_entropies`) on first use, the leave-one-out entropies
+    (:func:`_leave_one_out_entropies`, N >= 2) on the first call that asks
+    for them. A call that does not ask for them gets the first half or
+    the whole profile, whichever is kept.
+
+    The slot is read once and the profile read or built is written back
+    and returned, never re-read: a racing call may have set the slot back
+    to a first half since. So a race costs at most a recomputation of the
+    same bits."""
+    profile = dist._profile or EntropyProfile(entropy(dist),
+                                              _single_entropies(dist))
+    if leave_one_out and not profile.leave_one_out:
+        profile = EntropyProfile(profile.joint, profile.singles,
+                                 _leave_one_out_entropies(dist))
+    dist._profile = profile
+    return profile
 
 
 def _index_samples(

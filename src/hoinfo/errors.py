@@ -66,7 +66,7 @@ class InvalidOrderError(HoinfoError, ValueError):
 
 
 class FunctionalNegativeError(HoinfoError, ValueError):
-    """A plug-in functional returned a negative value."""
+    """A plug-in functional returned a negative or non-finite value."""
 
 
 class FunctionalNonMonotoneError(HoinfoError, ValueError):

@@ -38,7 +38,8 @@ from .distribution import (
     _from_support,
     _is_int_type,
     _is_number_type,
-    build_distribution,  # noqa: F401 -- kept in this module's namespace
+    # ROADMAP item 7 deletes this binding
+    build_distribution,  # noqa: F401 - perfbench/traced.py wraps this name
     product,
 )
 from .errors import (
@@ -169,7 +170,8 @@ def _check_int(value: object, name: str, minimum: int) -> int:
     and is at least ``minimum``; otherwise :class:`InvalidOrderError`."""
     if not (_is_int_type(type(value)) and value >= minimum):
         raise InvalidOrderError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
+            f"{name} must be an integer >= {minimum}, "
+            f"got {_count_text(value)}"
         )
     return int(value)
 

@@ -10,13 +10,13 @@ the two k-parameterized whole-minus-sum families built from them:
   Special cases: k=0 gives S, k=1 gives T, k=2 gives O.
 
 Both families are affine in k, so each needs only one computation of S, T,
-and D. :func:`measure_report` reads them from the distribution's entropy
-profile (H(X), every H(X_i) and every H(X^{-i})), which
-:mod:`hoinfo.distribution` builds once per distribution and keeps; every
-other multivariate measure here is a read of its result, so a sweep over
-k, or any mix of measures, builds the 2N+1 entropies once. The exception
-is :func:`total_correlation`, which needs only H(X) and the singles and
-computes them with the same kernels, without the leave-one-out half.
+and D. Every multivariate measure here is read from the distribution's
+entropy profile (H(X), every H(X_i) and every H(X^{-i})), which
+:mod:`hoinfo.distribution` builds once per distribution and keeps:
+:func:`measure_report` is a pure function of the whole profile, every
+other measure but T a read of its result, and :func:`total_correlation`
+reads the first half alone. So a sweep over k, or any mix of measures,
+builds the 2N+1 entropies once.
 
 All results are in units of ``dist.config.log_base`` (bits by default).
 Sums over variable indices accumulate in ascending index order, so results
@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .distribution import (
+    EntropyProfile,
     JointDistribution,
+    _count_text,
     _entropy_profile,
     _is_int_type,
-    _single_entropies,
     as_subset,
     entropy,
     leave_one_out,
@@ -84,11 +85,12 @@ def _require_multivariate(dist: JointDistribution) -> None:
         )
 
 
-def _tc_from(h_joint: float, singles: Iterable[float]) -> float:
+def _tc_from(profile: EntropyProfile) -> float:
+    """T = sum_i H(X_i) - H(X), from the first half of ``profile``."""
     acc = 0.0
-    for h in singles:
+    for h in profile.singles:
         acc += h
-    return acc - h_joint
+    return acc - profile.joint
 
 
 def measure_report(dist: JointDistribution) -> MeasureReport:
@@ -101,9 +103,14 @@ def measure_report(dist: JointDistribution) -> MeasureReport:
     measure in this module that reads this report, only does the sums.
     """
     _require_multivariate(dist)
-    profile = _entropy_profile(dist)
+    return _report(_entropy_profile(dist))
+
+
+def _report(profile: EntropyProfile) -> MeasureReport:
+    """The five measures of a whole entropy profile; a profile without its
+    leave-one-out half raises ``ValueError``."""
     h_joint, singles, loo = profile.joint, profile.singles, profile.leave_one_out
-    t = _tc_from(h_joint, singles)
+    t = _tc_from(profile)
     # D = H(X) - sum_i H(X_i | X^{-i}), with H(X_i | X^{-i}) = H(X) - H(X^{-i})
     acc = 0.0
     for h in loo:
@@ -111,15 +118,9 @@ def measure_report(dist: JointDistribution) -> MeasureReport:
     d = h_joint - acc
     # S = sum_i I(X_i ; X^{-i})
     s = 0.0
-    for h_single, h_rest in zip(singles, loo):
+    for h_single, h_rest in zip(singles, loo, strict=True):
         s += h_single + h_rest - h_joint
-    return MeasureReport(
-        joint_entropy=h_joint,
-        total_correlation=t,
-        dual_total_correlation=d,
-        s_information=s,
-        o_information=t - d,
-    )
+    return MeasureReport(h_joint, t, d, s, t - d)
 
 
 def mutual_information(
@@ -131,8 +132,7 @@ def mutual_information(
     disjoint, non-empty groups of variables."""
     a = as_subset(part_a, dist.n_vars)
     b = as_subset(part_b, dist.n_vars)
-    overlap = set(a) & set(b)
-    if overlap:
+    if overlap := set(a) & set(b):
         raise OverlappingSubsetsError(
             f"variable groups must be disjoint, both contain {sorted(overlap)}"
         )
@@ -147,11 +147,11 @@ def total_correlation(dist: JointDistribution) -> float:
 
     Zero exactly when all variables are independent; bounded above by
     (N-1) * max_i H(X_i). Defined for N >= 1 (trivially 0 for N = 1).
-    Computes H(X) and the singles with the kernels of the entropy profile,
-    but not its leave-one-out half, so it agrees with
+    Reads H(X) and the singles from the first half of the kept entropy
+    profile, building only that half if none is kept, so it agrees with
     :func:`measure_report` bit for bit.
     """
-    return _tc_from(entropy(dist), _single_entropies(dist))
+    return _tc_from(_entropy_profile(dist, leave_one_out=False))
 
 
 def dual_total_correlation(dist: JointDistribution) -> float:
@@ -188,8 +188,8 @@ def delta_k(dist: JointDistribution, k: int) -> float:
     entirely of order-k synergistic interactions the value is 0; positive
     values indicate interactions of order above k dominate, negative
     values that lower orders dominate. Any integer k is accepted (numpy
-    integers too); a k of another type, a bool included, raises
-    :class:`MalformedInputError`.
+    integers too); a k of another type, a bool included, or one beyond the
+    float range raises :class:`MalformedInputError`.
 
     Sign convention: the source paper's abstract words it the other way
     round (Delta^k < 0 read as domination by orders above k). This code
@@ -197,7 +197,7 @@ def delta_k(dist: JointDistribution, k: int) -> float:
     the closed form Delta^k = (N-k)*log2(a) of an N-variable parity over
     alphabet a, e.g. (4, 3, 2, 1, 0) bits for parity(4).
     """
-    k = _check_k(k)
+    k = _float_k(k)
     r = measure_report(dist)
     return r.s_information - k * r.total_correlation
 
@@ -208,9 +208,10 @@ def gamma_k(dist: JointDistribution, k: int) -> float:
     k = 0 gives S, k = 1 gives T, k = 2 gives O. Zero for a system made
     entirely of order-k redundant interactions (k identical copies of one
     variable). Any integer k is accepted (numpy integers too); a k of another
-    type, a bool included, raises :class:`MalformedInputError`.
+    type, a bool included, or one beyond the float range raises
+    :class:`MalformedInputError`.
     """
-    k = _check_k(k)
+    k = _float_k(k)
     r = measure_report(dist)
     return r.s_information - k * r.dual_total_correlation
 
@@ -222,15 +223,15 @@ def generic_delta_k(
 
     Returns (N-k) * f(X) - sum_i f(X^{-i}). With f = total correlation
     this reproduces :func:`delta_k`. Two of the three requirements for an
-    order interpretation are enforced per call: f must be non-negative on
-    every evaluated distribution, and must not increase under
+    order interpretation are enforced per call: f must be finite and
+    non-negative on every evaluated distribution, and must not increase under
     marginalization. The third (pure order-k relationships must vanish
     under any single marginalization) quantifies over all pure systems and
     cannot be checked per input; a ``UserWarning`` naming the functional
     records that it is assumed, not verified. Under the default warning
     filters it is shown once per functional and call site.
     """
-    k = _check_k(k)
+    k = _float_k(k)
     _require_multivariate(dist)
     tol = dist.config.zero_tolerance
     warnings.warn(
@@ -262,12 +263,23 @@ def _check_k(k: object) -> int:
     return int(k)
 
 
+def _float_k(k: object) -> float:
+    """``k`` checked by :func:`_check_k`, as a float; an integer k beyond
+    the float range raises :class:`MalformedInputError` too."""
+    try:
+        return float(_check_k(k))
+    except OverflowError:
+        raise MalformedInputError(
+            f"k={_count_text(k)} is beyond the float range") from None
+
+
 def _checked_value(
     functional: MeasureFunctional, dist: JointDistribution, tol: float
 ) -> float:
     value = float(functional.evaluate(dist))
-    if value < -tol:
+    # NaN fails every comparison, so it fails this one too
+    if not -tol <= value < float("inf"):
         raise FunctionalNegativeError(
-            f"functional {functional.name!r} returned {value!r} < 0"
-        )
+            f"functional {functional.name!r} returned {value!r}, not a "
+            "finite value >= 0")
     return value

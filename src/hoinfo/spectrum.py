@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .distribution import JointDistribution
+from .distribution import JointDistribution, _count_text
 from .errors import IndexOutOfRangeError
 from .measures import MeasureReport, _check_k, measure_report
 
@@ -118,7 +118,8 @@ def sign_interpretation(spectrum: SpectrumResult, k: int) -> SignInterpretation:
     k = _check_k(k)
     if not 0 <= k <= spectrum.n_vars:
         raise IndexOutOfRangeError(
-            f"k={k} outside the spectrum range 0..{spectrum.n_vars}"
+            f"k={_count_text(k)} outside the spectrum range "
+            f"0..{spectrum.n_vars}"
         )
     value = spectrum.delta[k]
     if value > spectrum.zero_tolerance:

@@ -12,6 +12,7 @@ from hoinfo import (
     EmptySubsetError,
     EstimatorConfig,
     IndexOutOfRangeError,
+    InvalidOrderError,
     MalformedInputError,
     NegativeMassError,
     NonFiniteMassError,
@@ -21,20 +22,25 @@ from hoinfo import (
     SystemTooSmallError,
     TableTooLargeError,
     build_distribution,
+    compute_spectrum,
+    delta_k,
     dual_total_correlation,
     entropy,
     estimate_from_samples,
+    gamma_k,
     giant_bit,
     infer_alphabets,
     leave_one_out,
     marginalize,
     measure_report,
+    mutual_information,
     o_information,
     parity,
     point_mass,
     product,
     random_distribution,
     s_information,
+    sign_interpretation,
     total_correlation,
 )
 
@@ -551,3 +557,54 @@ def test_repeated_measure_calls_are_identical(suite50):
     assert dual_total_correlation(d) == dual_total_correlation(fresh)
     assert s_information(d) == s_information(fresh)
     assert dual_total_correlation(d) == dual_total_correlation(d)
+
+
+# ---------------------------------------------------------------------------
+# an int too long for str()
+# ---------------------------------------------------------------------------
+
+HUGE = 10**5000  # str() of an int past 4,300 digits raises ValueError
+D3 = random_distribution(3, 2, seed=1)
+
+HUGE_INT_CALLS = {
+    "marginalize": (lambda: marginalize(D3, [HUGE]), IndexOutOfRangeError),
+    "leave_one_out": (lambda: leave_one_out(D3, HUGE), IndexOutOfRangeError),
+    "mutual_information": (lambda: mutual_information(D3, [0], [HUGE]),
+                           IndexOutOfRangeError),
+    "mass": (lambda: D3.mass((0, 0, HUGE)), StateOutOfRangeError),
+    "mass_negative": (lambda: D3.mass((0, 0, -HUGE)), StateOutOfRangeError),
+    "mass_arity": (lambda: D3.mass((HUGE,)), StateOutOfRangeError),
+    "build_distribution": (lambda: build_distribution([2], [((HUGE,), 1.0)]),
+                           StateOutOfRangeError),
+    "sign_interpretation": (
+        lambda: sign_interpretation(compute_spectrum(D3), HUGE),
+        IndexOutOfRangeError),
+    "sign_interpretation_negative": (
+        lambda: sign_interpretation(compute_spectrum(D3), -HUGE),
+        IndexOutOfRangeError),
+    "giant_bit": (lambda: giant_bit(-HUGE), InvalidOrderError),
+    "random_seed": (lambda: random_distribution(3, 2, seed=-HUGE),
+                    InvalidOrderError),
+    "max_dense_states": (lambda: EstimatorConfig(max_dense_states=-HUGE),
+                         MalformedInputError),
+    "delta_k": (lambda: delta_k(D3, 10**400), MalformedInputError),
+    "gamma_k": (lambda: gamma_k(D3, 10**400), MalformedInputError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INT_CALLS))
+def test_a_huge_int_raises_its_named_error(name):
+    call, error = HUGE_INT_CALLS[name]
+    with pytest.raises(error) as raised:
+        call()
+    text = str(raised.value)
+    assert "e+" in text and len(text) < 100
+
+
+def test_small_ints_keep_their_messages():
+    assert distribution._ints_text((0, 0, 5)) == str((0, 0, 5))
+    assert distribution._ints_text((5,)) == str((5,))
+    assert distribution._ints_text([0, -7]) == str([0, -7])
+    assert distribution._count_text(-10**17) == str(-10**17)
+    assert distribution._count_text(np.int64(-3)) == "-3"
+    assert distribution._count_text(2.5) == "2.5"

@@ -330,6 +330,24 @@ def test_generic_rejects_negative_functional():
         generic_delta_k(f, support.xor_triple(), 2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("n_vars_of_bad_value", [3, 2])
+def test_generic_rejects_non_finite_functional(value, n_vars_of_bad_value):
+    # a NaN fails every comparison, so neither the sign check nor the
+    # monotonicity check would see it
+    f = MeasureFunctional(
+        name="non_finite",
+        evaluate=lambda d: value if d.n_vars == n_vars_of_bad_value else 1.0)
+    with pytest.warns(UserWarning, match="fragility"), \
+            pytest.raises(FunctionalNegativeError, match="not a finite"):
+        generic_delta_k(f, support.xor_triple(), 1)
+
+
+def test_generic_rejects_a_k_beyond_the_float_range():
+    with pytest.raises(MalformedInputError, match=r"k=~1\.00000e\+400"):
+        generic_delta_k(tc_functional(), support.xor_triple(), 10**400)
+
+
 def test_generic_rejects_nonmonotone_functional():
     # Large on the two-variable marginals, zero on the joint.
     f = MeasureFunctional(

@@ -14,8 +14,12 @@ The run-based sparse marginal codes must equal the digit-based ones, also
 for object codes beyond 2**63 states. A 16-variable table checks every
 profile entropy against a correctly rounded reference.
 Every measure of one distribution, and every k of both sweeps, reads one
-profile, built once, of Python floats; threads that share a distribution
-get the bits of a fresh one.
+profile of Python floats, each of its two halves built once: T reads the
+first half alone, and a report after T builds only the second. A report
+is a pure function of a profile, so one assembled from the oracle's
+entropies gives the oracle's measures, and one without its second half
+raises. Threads that share a distribution, some asking for T first, get
+the bits of a fresh one.
 """
 
 import dataclasses
@@ -30,6 +34,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hoinfo.distribution as distribution
+import hoinfo.measures as measures
+import oracle
 import support
 from hoinfo import (
     build_distribution,
@@ -242,9 +248,66 @@ def test_total_correlation_builds_no_leave_one_out_entropy(monkeypatch):
     dist = random_distribution(6, 2, seed=4)
     calls = support.count_profile_kernels(monkeypatch)
     t = total_correlation(dist)
-    assert dist._profile is None
+    assert dist._profile.leave_one_out == ()
     assert "_leave_one_out_entropies" not in [name for name, _ in calls]
     assert t == measure_report(dist).total_correlation
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_total_correlation_reads_the_kept_profile(monkeypatch, sparse):
+    dist = random_distribution(6, (2, 3, 2, 2, 3, 2), seed=5)
+    if sparse:
+        dist = dist.to_sparse()
+    report = measure_report(dist)
+    calls = support.count_profile_kernels(monkeypatch)
+    assert bits([total_correlation(dist)]) == bits([report.total_correlation])
+    assert calls == []
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_report_after_total_correlation_builds_only_the_second_half(
+        monkeypatch, sparse):
+    dist = random_distribution(6, (2, 3, 2, 2, 3, 2), seed=5)
+    fresh = measure_report(random_distribution(6, (2, 3, 2, 2, 3, 2), seed=5))
+    if sparse:
+        dist = dist.to_sparse()
+    calls = support.count_profile_kernels(monkeypatch)
+    t = total_correlation(dist)
+    del calls[:]
+    report = measure_report(dist)
+    assert calls == [("_leave_one_out_entropies", dist.n_vars)]
+    assert bits(dataclasses.astuple(report)) == bits(dataclasses.astuple(fresh))
+    assert bits([t]) == bits([fresh.total_correlation])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_report_of_an_oracle_profile_matches_the_oracle(seed):
+    dist = random_distribution(4, (2, 3, 2, 3), seed=seed)
+    pmf, n = oracle.pmf_of(dist), dist.n_vars
+    hand_made = distribution.EntropyProfile(
+        oracle.entropy_bits(pmf),
+        tuple(oracle.entropy_bits(oracle.marginal(pmf, (i,)))
+              for i in range(n)),
+        tuple(oracle.entropy_bits(
+            oracle.marginal(pmf, oracle.leave_one_out_keep(n, i)))
+            for i in range(n)),
+    )
+    report = measures._report(hand_made)
+    expected = (oracle.total_correlation(pmf, n),
+                oracle.dual_total_correlation(pmf, n),
+                oracle.s_information(pmf, n),
+                oracle.o_information(pmf, n))
+    got = (report.total_correlation, report.dual_total_correlation,
+           report.s_information, report.o_information)
+    assert got == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+def test_report_of_a_first_half_raises():
+    dist = random_distribution(4, 2, seed=1)
+    first_half = distribution._entropy_profile(dist, leave_one_out=False)
+    assert first_half.leave_one_out == ()
+    with pytest.raises(ValueError):
+        measures._report(first_half)
 
 
 PROFILED = {
@@ -269,18 +332,22 @@ def test_kept_profile_holds_python_floats(kind):
 def test_threads_sharing_one_distribution_get_bit_equal_reports():
     shared = random_distribution(12, 2, seed=11)
     expected = measure_report(random_distribution(12, 2, seed=11))
-    n_threads = 4
+    n_threads = 6
     start = threading.Barrier(n_threads)
     reports = []
+    totals = []
 
-    def work():
+    def work(first_half_first):
         start.wait(timeout=30)
+        if first_half_first:
+            totals.append(total_correlation(shared))
         reports.append(measure_report(shared))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        threads = [threading.Thread(target=work, args=(i % 2 == 0,))
+                   for i in range(n_threads)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -289,6 +356,8 @@ def test_threads_sharing_one_distribution_get_bit_equal_reports():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(reports) == n_threads
+    assert len(totals) == n_threads // 2
     for report in reports:
         assert bits(dataclasses.astuple(report)) == bits(
             dataclasses.astuple(expected))
+    assert bits(totals) == bits([expected.total_correlation] * len(totals))
