@@ -15,20 +15,27 @@ Shannon entropy.
 
 Determinism contract
 --------------------
-All mass summations are strict left-to-right folds over states in ascending
-mixed-radix (lexicographic) order: dense tables fold in ascending linear
-index order, sparse supports in ascending code order. Because adding an
-exact zero never perturbs an accumulator, the two representations of the
-same distribution produce bit-identical marginal masses, entropies, and
-therefore bit-identical measures, and every result is reproducible run to
-run on one host with one numpy build. Across the CPU targets numpy
-dispatches to, an entropy can move in its last bit, as ``np.log2`` rounds
-some values differently on each.
+All mass summations (the cells of each marginal state, the total mass and
+the normalization check) are strict left-to-right folds over states in
+ascending mixed-radix (lexicographic) order: dense tables fold in ascending
+linear index order, sparse supports in ascending code order. Because adding
+an exact zero never perturbs an accumulator, the two representations of
+the same distribution produce bit-identical marginal masses. An entropy
+reads the positive masses alone, in that order, so both representations
+give bit-identical entropies and therefore bit-identical measures, and
+every result is reproducible run to run on one host with one numpy build.
+Across the CPU targets numpy dispatches to, an entropy can move in its last
+bit, as ``np.log2`` rounds some values differently on each.
 
-An entropy is one left fold of the terms p*log2(p) of the positive masses
-in that order, computed a block at a time; a block with no zero cell is
-folded whole, which gives the same terms in the same order as selecting
-its positive cells.
+An entropy sums the terms p*log2(p) of the positive masses in runs of
+``_BLOCK`` consecutive terms (the last run may be shorter). Inside a run
+the sum is numpy's pairwise sum (``np.add.reduce`` of a contiguous array);
+the run sums are then folded strictly left to right from 0.0. A run is cut
+from the positive terms, not from table cells, so neither zero cells nor
+the sizes of the blocks a kernel yields move its ends. Each run adds a
+rounding error of about log2(``_BLOCK``) units in the last place, not the
+up to ``_BLOCK`` of a left fold (Higham 2002, *Accuracy and Stability of
+Numerical Algorithms*, ch. 4).
 
 Every dense fold and every dense marginal walks the same row-major blocks
 of at most ``_BLOCK`` cells. A dense marginal is folded from strided views
@@ -67,7 +74,7 @@ representations; so they can differ in the last bits from the entropy of
 a direct one-variable marginal. The leave-one-out entropies of a dense
 table are folded from the blocks of :func:`_marginal_blocks` as they are
 made, without materializing the marginal; :func:`marginalize` writes the
-same blocks and :func:`entropy` folds the same terms in the same order, so
+same blocks and :func:`entropy` sums the same terms in the same runs, so
 they have the bits of ``entropy(leave_one_out(dist, i))``.
 """
 
@@ -101,8 +108,8 @@ State = tuple[int, ...]
 # functions accept any iterable of ints and canonicalize.
 VariableSubset = tuple[int, ...]
 
-# Cells per block of every dense fold and marginal; sized so a block and its
-# terms stay in cache.
+# Cells per block of every dense fold and marginal, and terms per run of an
+# entropy; sized so a block and its terms stay in cache.
 _BLOCK = 1 << 15
 
 
@@ -143,13 +150,15 @@ class EstimatorConfig:
         if not (_is_number_type(type(self.log_base))
                 and 1.0 < self.log_base < math.inf):
             raise MalformedInputError(
-                f"log_base must be finite and > 1, got {self.log_base!r}"
+                "log_base must be finite and > 1, got "
+                f"{_value_text(self.log_base)}"
             )
         tolerances = (self.normalization_tolerance, self.zero_tolerance)
         if not all(_is_number_type(type(tol)) and 0.0 <= tol < math.inf
                    for tol in tolerances):
             raise MalformedInputError(
-                f"tolerances must be finite and >= 0: {tolerances}"
+                "tolerances must be finite and >= 0: "
+                f"({', '.join(map(_value_text, tolerances))})"
             )
         if not (_is_int_type(type(self.max_dense_states))
                 and self.max_dense_states >= 1):
@@ -232,23 +241,18 @@ def _blocks(shape: Sequence[int]) -> Iterator[tuple]:
             yield lead + (slice(start, start + rows),)
 
 
-def _carry(seg: np.ndarray, acc: float) -> float:
-    """Fold the private, contiguous, non-empty 1-D ``seg`` into ``acc``, in
-    place: its first cell absorbs the running sum, and np.add.accumulate is
-    defined by the sequential recurrence r[i] = r[i-1] + x[i], so its last
-    cell is exactly the left fold so far."""
-    seg[0] = acc + seg[0]
-    np.add.accumulate(seg, out=seg)
-    return float(seg[-1])
-
-
 def _fold(values: np.ndarray, acc: float = 0.0) -> float:
     """Strict left-to-right sum of the cells of ``values`` in row-major order,
-    continuing from ``acc``; each block is copied into a scratch segment."""
+    continuing from ``acc``. Each block is copied into a scratch segment
+    whose first cell absorbs the running sum; np.add.accumulate is defined
+    by the sequential recurrence r[i] = r[i-1] + x[i], so the segment's last
+    cell is exactly the left fold so far."""
     for index in _blocks(values.shape):
         seg = values[index].flatten()
         if seg.size:
-            acc = _carry(seg, acc)
+            seg[0] = acc + seg[0]
+            np.add.accumulate(seg, out=seg)
+            acc = float(seg[-1])
     return acc
 
 
@@ -306,17 +310,30 @@ def _marginal_blocks(
 
 
 def _entropy_of(blocks: Iterable[np.ndarray], log_base: float) -> float:
-    """-sum p*log(p) over the positive masses of ``blocks``, in order: one
-    strict fold whose terms are computed and folded a block at a time. A
-    block with no zero cell is folded whole, through a flat view of it."""
+    """-sum p*log(p) over the positive masses of ``blocks``, in order.
+
+    The terms are cut into consecutive runs of ``_BLOCK`` terms, whatever
+    the blocks' sizes (the last run may be shorter); each run is summed by
+    numpy's pairwise sum (``np.add.reduce`` of a contiguous array), and the
+    run sums are folded strictly left to right from 0.0. Each block's terms
+    are written straight into one scratch run, so no term is copied; a
+    block with no zero cell is read through a flat view of it."""
     acc = 0.0
+    run = np.empty(_BLOCK)
+    filled = 0
     for blk in blocks:
         p = blk.ravel() if blk.size and blk.min() > 0.0 else blk[blk > 0.0]
-        if p.size:
-            # log2(p) * p in place: the block's terms are its own array
-            terms = np.log2(p)
-            terms *= p
-            acc = _carry(terms, acc)
+        while p.size:
+            part, p = p[:_BLOCK - filled], p[_BLOCK - filled:]
+            terms = run[filled:filled + part.size]
+            np.log2(part, out=terms)
+            terms *= part
+            filled += part.size
+            if filled == _BLOCK:
+                acc += float(np.add.reduce(run))
+                filled = 0
+    if filled:
+        acc += float(np.add.reduce(run[:filled]))
     return 0.0 - acc / math.log2(log_base)
 
 
@@ -335,7 +352,7 @@ def as_subset(indices: Iterable[int], n_vars: int) -> VariableSubset:
     given = tuple(indices)
     if not _all_of_type(given, _is_int_type):
         raise MalformedInputError(
-            f"variable indices must be integers: {given!r}"
+            f"variable indices must be integers: {_ints_text(given)}"
         )
     idx = sorted({int(i) for i in given})
     if not idx:
@@ -520,12 +537,20 @@ def _count_text(count: int) -> str:
 
 
 def _ints_text(values: Sequence[int]) -> str:
-    """``str(values)`` of a tuple or list of ints, each int written by
+    """``str(values)`` of a tuple or list, each element written by
     :func:`_count_text`."""
     text = ", ".join(map(_count_text, values))
     if isinstance(values, list):
         return f"[{text}]"
     return f"({text},)" if len(values) == 1 else f"({text})"
+
+
+def _value_text(value: object) -> str:
+    """A value a caller gave, as an error message quotes it: a list or tuple
+    by :func:`_ints_text`, anything else by :func:`_count_text`."""
+    if isinstance(value, (list, tuple)):
+        return _ints_text(value)
+    return _count_text(value)
 
 
 def _all_of_type(values: Iterable[object], accept) -> bool:
@@ -541,7 +566,8 @@ def _checked_cardinalities(cardinalities: Sequence[int]) -> State:
         cards = None
     if cards is None or not _all_of_type(cards, _is_int_type):
         raise MalformedInputError(
-            f"cardinalities must be a list of integers: {cardinalities!r}"
+            "cardinalities must be a list of integers: "
+            f"{_value_text(cardinalities)}"
         )
     if not cards:
         raise EmptyInputError("cardinalities must be non-empty")
@@ -592,7 +618,7 @@ def _state_fault(raw_state: object, cards: State):
         cells = None
     if cells is None or not _all_of_type(cells, _is_int_type):
         return MalformedInputError(
-            f"state {raw_state!r} is not a sequence of integers"
+            f"state {_value_text(raw_state)} is not a sequence of integers"
         )
     state = tuple(int(x) for x in cells)
     if len(state) != len(cards):
@@ -619,7 +645,8 @@ def _entry_fault(raw_state: object, raw_mass: object, cards: State):
     state = tuple(map(int, raw_state))
     if not _is_number_type(type(raw_mass)):
         return MalformedInputError(
-            f"state {state} has mass {raw_mass!r}, which is not a number"
+            f"state {state} has mass {_value_text(raw_mass)}, which is not a "
+            "number"
         )
     try:
         mass = float(raw_mass)
@@ -800,9 +827,12 @@ def _leave_one_out_entropies(dist: JointDistribution) -> tuple[float, ...]:
     """H(X^{-i}) for every variable, in index order; each has the bits of
     ``entropy(leave_one_out(dist, i))``.
 
-    A dense table's entropies are folded from :func:`_marginal_blocks`, so
+    A dense table's entropies are summed from :func:`_marginal_blocks`, so
     no marginal is materialized; a sparse table takes
-    ``entropy(leave_one_out(dist, i))`` itself. Requires N >= 2.
+    ``entropy(leave_one_out(dist, i))`` itself. Either way each marginal
+    mass is a strict fold of its cells, and its terms are summed by the
+    rule of :func:`_entropy_of`: pairwise inside each run of ``_BLOCK``
+    terms, the run sums folded strictly in order. Requires N >= 2.
     """
     if dist._codes is not None:
         return tuple(entropy(leave_one_out(dist, i)) for i in range(dist.n_vars))

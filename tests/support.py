@@ -198,14 +198,44 @@ def random_table(cards, seed: int, zero_share: float) -> JointDistribution:
     return build_distribution(cards, entries, renormalize=True)
 
 
+def pairwise_sum(values) -> float:
+    """numpy's pairwise sum of a sequence of floats, as ``np.add.reduce``
+    takes it over a contiguous float64 array: below 8 values a left fold
+    from 0.0; up to 128, eight accumulators over the first n - n%8 values,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
+    right; beyond that, the sums of the halves split at n//2 - (n//2)%8."""
+    n = len(values)
+    if n < 8:
+        acc = 0.0
+        for value in values:
+            acc += value
+        return acc
+    if n <= 128:
+        r = list(values[:8])
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[whole:]:
+            acc += value
+        return acc
+    half = n // 2 - (n // 2) % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
 def entropy_reference(dist: JointDistribution) -> float:
-    """Shannon entropy of ``dist`` by the documented fold, without the
-    package's kernel: the positive masses in ascending state order, each
-    term ``np.log2(p) * p``, one Python left fold from 0.0."""
+    """Shannon entropy of ``dist`` by the documented rule, without the
+    package's kernel: the terms ``np.log2(p) * p`` of the positive masses
+    in ascending state order, cut into runs of ``distribution._BLOCK``
+    terms (read at call time), each run summed by :func:`pairwise_sum`,
+    the run sums folded left to right from 0.0."""
     _, masses = dist._support()
+    terms = (np.log2(masses) * masses).tolist()
+    run = distribution._BLOCK
     acc = 0.0
-    for term in (np.log2(masses) * masses).tolist():
-        acc += term
+    for start in range(0, len(terms), run):
+        acc += pairwise_sum(terms[start:start + run])
     return 0.0 - acc / math.log2(dist.config.log_base)
 
 

@@ -589,6 +589,18 @@ HUGE_INT_CALLS = {
                          MalformedInputError),
     "delta_k": (lambda: delta_k(D3, 10**400), MalformedInputError),
     "gamma_k": (lambda: gamma_k(D3, 10**400), MalformedInputError),
+    # beside a value of another type, each element is quoted on its own
+    "mass_beside_a_float": (lambda: D3.mass((0, 0.5, HUGE)),
+                            MalformedInputError),
+    "marginalize_beside_a_str": (lambda: marginalize(D3, [HUGE, "a"]),
+                                 MalformedInputError),
+    "cardinalities_beside_a_str": (
+        lambda: build_distribution([HUGE, "a"], []), MalformedInputError),
+    "mass_not_a_number": (
+        lambda: build_distribution([2], [((0,), [HUGE])]), MalformedInputError),
+    "log_base": (lambda: EstimatorConfig(log_base=[HUGE]), MalformedInputError),
+    "tolerance": (lambda: EstimatorConfig(zero_tolerance=(HUGE,)),
+                  MalformedInputError),
 }
 
 
@@ -608,3 +620,8 @@ def test_small_ints_keep_their_messages():
     assert distribution._count_text(-10**17) == str(-10**17)
     assert distribution._count_text(np.int64(-3)) == "-3"
     assert distribution._count_text(2.5) == "2.5"
+    assert distribution._value_text([0, 0.5, "a"]) == repr([0, 0.5, "a"])
+    assert distribution._value_text((None, (1,))) == repr((None, (1,)))
+    cyclic = [0, "a"]
+    cyclic.append(cyclic)
+    assert distribution._value_text(cyclic) == f"[0, 'a', {cyclic!r}]"

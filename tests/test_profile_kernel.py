@@ -6,10 +6,14 @@ the leave-one-out entropies folded from the marginal kernel's blocks must
 give, bit for bit, the entropy of each materialized leave-one-out marginal,
 and every profile entropy must be the same for the dense and the sparse
 representation. Every entropy of the joint table and of its leave-one-out
-marginals must have the bits of a plain Python fold of the positive masses.
+marginals must have the bits of a Python reference of the documented rule:
+the pairwise sum of each run of ``_BLOCK`` terms, the run sums folded left
+to right; the reference's pairwise sum must have the bits of numpy's.
 Small blocks drive the blocked path, and blocks of only zero cells, on
-small tables. A test that patches ``_BLOCK`` builds its
-distributions itself, so no kept profile hides the patched path.
+small tables; a mixed-radix table at the real ``_BLOCK``, whose blocks do
+not fill a run, drives the regrouping of terms into runs. A test that
+patches ``_BLOCK`` builds its distributions itself, so no kept profile
+hides the patched path.
 The run-based sparse marginal codes must equal the digit-based ones, also
 for object codes beyond 2**63 states. A 16-variable table checks every
 profile entropy against a correctly rounded reference.
@@ -86,7 +90,6 @@ def test_dense_kernel_equals_entropy_of_each_marginal(cards, seed, zero_share,
                                                       block):
     dense = support.random_table(cards, seed, zero_share)
     n = len(cards)
-    expected = [entropy(leave_one_out(dense, i)) for i in range(n)]
     materialized = []
     real_leave_one_out = distribution.leave_one_out
 
@@ -94,9 +97,11 @@ def test_dense_kernel_equals_entropy_of_each_marginal(cards, seed, zero_share,
         materialized.append(i)
         return real_leave_one_out(dist, i)
 
-    with mock.patch.object(distribution, "_BLOCK", block), \
-            mock.patch.object(distribution, "leave_one_out", counted):
-        got = distribution._leave_one_out_entropies(dense)
+    # the runs of terms are _BLOCK long, so both sides take the same _BLOCK
+    with mock.patch.object(distribution, "_BLOCK", block):
+        expected = [entropy(leave_one_out(dense, i)) for i in range(n)]
+        with mock.patch.object(distribution, "leave_one_out", counted):
+            got = distribution._leave_one_out_entropies(dense)
     assert bits(got) == bits(expected)
     # no marginal is materialized, not even of a variable with more states
     # than its marginal has
@@ -126,15 +131,16 @@ def test_blocks_of_zero_cells_are_skipped():
 @example(cards=[4, 4], seed=1, zero_share=0.3, block=3)
 def test_entropies_have_the_bits_of_a_python_fold(cards, seed, zero_share,
                                                   block):
-    # blocks with and without zero cells, each against a fold that shares
-    # no code with the kernel
+    # blocks with and without zero cells, each against a reference that
+    # shares no code with the kernel
     dense = support.random_table(cards, seed, zero_share)
     with mock.patch.object(distribution, "_BLOCK", block):
         joint = [entropy(dense), entropy(dense.to_sparse())]
         got = distribution._leave_one_out_entropies(dense)
-    assert bits(joint) == bits([support.entropy_reference(dense)] * 2)
-    assert bits(got) == bits([support.entropy_reference(leave_one_out(dense, i))
-                              for i in range(len(cards))])
+        assert bits(joint) == bits([support.entropy_reference(dense)] * 2)
+        assert bits(got) == bits(
+            [support.entropy_reference(leave_one_out(dense, i))
+             for i in range(len(cards))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,6 +158,38 @@ def test_profile_is_the_same_dense_and_sparse(cards, seed, zero_share, block):
         assert bits(got) == bits(profile(dense.to_sparse()))
         assert (total_correlation(dense)
                 == measure_report(dense).total_correlation)
+
+
+def test_pairwise_sum_has_the_bits_of_numpy():
+    rng = np.random.default_rng(7)
+    differ = []
+    for size in [*range(1, 401), 4097, 32768]:
+        values = rng.random(size) - 0.25
+        if support.pairwise_sum(values.tolist()) != float(np.add.reduce(values)):
+            differ.append(size)
+    assert differ == []
+
+
+def test_terms_are_regrouped_into_runs_at_the_real_block():
+    # 688,905 cells, about 30% zero; dropping variable 4 leaves marginal
+    # blocks of 31,185 cells, which do not fill a run of _BLOCK terms
+    dense = support.random_table((3,) * 9 + (5, 7), 1, 0.3)
+    sparse = dense.to_sparse()
+    loo = distribution._leave_one_out_entropies(dense)
+    assert bits(loo) == bits([entropy(leave_one_out(dense, i))
+                              for i in range(dense.n_vars)])
+    assert bits(loo) == bits(distribution._leave_one_out_entropies(sparse))
+    assert bits([entropy(dense)]) == bits([entropy(sparse)])
+    assert bits([entropy(leave_one_out(dense, 4))]) == bits(
+        [support.entropy_reference(leave_one_out(dense, 4))])
+
+
+def test_entropy_of_parity_is_the_same_dense_and_sparse():
+    # half of the 2**17 cells are zero, so no block of the dense table is
+    # a run of terms
+    dense = parity(17)
+    assert dense.representation == "dense"
+    assert bits([entropy(dense)]) == bits([entropy(dense.to_sparse())])
 
 
 @settings(max_examples=40, deadline=None)
