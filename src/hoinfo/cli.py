@@ -4,10 +4,11 @@ Four subcommands: ``measures`` and ``spectrum`` ingest a distribution
 (JSON file, samples CSV, or an inline generator) and emit a run report;
 ``gen`` emits a generated distribution in the distribution JSON format;
 ``batch`` runs a manifest of inputs and writes one report per line, in
-manifest order; with ``--jobs N`` its items run in worker processes
-(forked), capped at the item count and the CPUs this process may run
-on. A manifest that names stdin (``"-"``) runs in process, and its items
-read the stream in manifest order.
+manifest order; with ``--jobs N`` its items run in worker processes that
+this process forks and feeds item indices over pipes, the next index
+going to the worker that returns a result, capped at the item count and
+the CPUs this process may run on. A manifest that names stdin (``"-"``)
+runs in process, and its items read the stream in manifest order.
 
 Exit codes: 0 on success, 1 on parse/validation failure, 2 when a measure
 is requested on a system with fewer than two variables. Diagnostics go to
@@ -19,11 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import os
 import sys
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 from . import __version__
 from .distribution import (
@@ -265,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         "batch", help="run a JSON manifest of inputs, one report per line")
     p_batch.add_argument("manifest", help="path to the manifest JSON list")
     p_batch.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (forked), an integer >= 1, "
+                         help="worker processes, forked and fed items over "
+                              "pipes, an integer >= 1, "
                               "capped at the item count and the CPUs this "
                               "process may run on (default 1: run in "
                               "process); a manifest "
@@ -373,48 +376,180 @@ def _worker_count(jobs: int, items: int, cpus: int) -> int:
     return max(1, min(jobs, items, cpus))
 
 
-def _place_worker(queue, cpus: list[int]) -> None:
-    """Move this worker process to the CPU it takes from ``queue``, then
-    let it run on any of the allowed ``cpus`` again. A forked child starts
-    on its parent's CPU; where the kernel does not move it to an idle CPU,
-    as on some virtual machines, every worker would share that one CPU."""
-    os.sched_setaffinity(0, {queue.get()})
-    os.sched_setaffinity(0, cpus)
+def _serve_batch_items(tasks: int, results: int, calls: list) -> None:
+    """Run :func:`_batch_line` on each item whose index arrives, one per
+    line, on the task pipe ``tasks``, and write ``index failed line`` and a
+    newline to the result pipe ``results`` for each, until the task pipe
+    closes. A JSON line holds no raw newline, so a newline ends a record."""
+    with open(tasks, "rb") as indices, open(results, "wb") as out:
+        for index in map(int, indices):
+            failed, line = _batch_line(*calls[index])
+            out.write(b"%d %d %s\n" % (index, failed, line.encode()))
+            out.flush()
 
 
-def _fork_batch_lines(context, workers: int, columns: tuple,
+def _worker_main(tasks: int, results: int, calls: list, cpu: int,
+                 cpus: list[int], inherited: list[int]) -> NoReturn:
+    """The body of a forked batch worker: close the parent's pipe ends it
+    ``inherited``, read stdin from /dev/null, start on ``cpu`` and then
+    allow all ``cpus``, serve items until its task pipe closes, and exit
+    without returning into the caller's frames."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        null = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(null, 0)
+        os.close(null)
+        if hasattr(os, "sched_setaffinity"):
+            # a forked child starts on its parent's CPU; where the kernel
+            # does not move it to an idle CPU, as on some virtual machines,
+            # every worker would share that one CPU
+            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, cpus)
+        # the inherited objects are never garbage: collections skip them
+        gc.freeze()
+        _serve_batch_items(tasks, results, calls)
+        code = 0
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+class _Worker:
+    """A forked batch worker as the parent sees it: its process id (None
+    once reaped), the write end of its task pipe and the read end of its
+    result pipe (each None once closed), the count of indices sent and not
+    yet answered, and the bytes read after its last complete record."""
+
+    def __init__(self, pid: int, tasks: int, results: int):
+        self.pid, self.tasks, self.results = pid, tasks, results
+        self.in_flight = 0
+        self.rest = b""
+
+    def feed(self, pending: Iterator[int]) -> None:
+        """Send the next index of ``pending``, or close the task pipe when
+        none is left."""
+        index = next(pending, None)
+        if index is None:
+            self.close_tasks()
+            return
+        try:
+            os.write(self.tasks, b"%d\n" % index)
+        except BrokenPipeError:
+            pass  # the worker has exited: its result pipe will say so
+        self.in_flight += 1
+
+    def close_tasks(self) -> None:
+        if self.tasks is not None:
+            os.close(self.tasks)
+            self.tasks = None
+
+    def close_results(self) -> None:
+        if self.results is not None:
+            os.close(self.results)
+            self.results = None
+
+    def reap(self) -> int:
+        """Wait for the worker to end: its exit code, or minus the signal
+        that ended it."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+def _start_worker(calls: list, cpu: int, cpus: list[int],
+                  live: list[_Worker]) -> _Worker:
+    """Fork a batch worker that starts on ``cpu``, with a task pipe and a
+    result pipe. The child closes the parent's ends of its own pipes and of
+    those of the ``live`` workers."""
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
+    inherited = [task_write, result_read]
+    for worker in live:
+        inherited += (worker.tasks, worker.results)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _worker_main(task_read, result_write, calls, cpu, cpus, inherited)
+    except BaseException:
+        os.close(task_write)
+        os.close(result_read)
+        raise
+    finally:
+        os.close(task_read)
+        os.close(result_write)
+    return _Worker(pid, task_write, result_read)
+
+
+def _fork_batch_lines(workers: int, columns: tuple,
                       cpus: list[int]) -> list[tuple[bool, str]]:
     """:func:`_batch_line` of each item, in manifest order, run in
-    ``workers`` processes forked from this one by the multiprocessing
-    ``context`` and placed one by one on the allowed ``cpus``. The workers
-    inherit the imported modules."""
-    import concurrent.futures
+    ``workers`` processes forked from this one, each started on its own
+    CPU of the allowed ``cpus``. The workers inherit the imported modules
+    and the items. The parent keeps at most two indices in flight per
+    worker and sends the next one as each result arrives, so a worker that
+    finishes early takes more items. A worker that exits non-zero, or
+    before returning its results, raises :class:`OSError`; on any exception
+    every live worker is killed and reaped."""
+    import selectors
+    import signal
 
-    place = {}
-    if hasattr(os, "sched_setaffinity"):
-        queue = context.SimpleQueue()
-        for cpu in cpus[:workers]:
-            queue.put(cpu)
-        place = {"initializer": _place_worker, "initargs": (queue, cpus)}
+    calls = list(zip(*columns))
+    lines: list = [None] * len(calls)
+    pending = iter(range(len(calls)))
+    sys.stdout.flush()
+    sys.stderr.flush()
+    live: list[_Worker] = []
     try:
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=context, **place) as pool:
-            return list(pool.map(_batch_line, *columns))
-    except concurrent.futures.process.BrokenProcessPool as exc:
-        raise OSError(f"a batch worker process ended abruptly: {exc}") from None
+        for number in range(workers):
+            live.append(_start_worker(calls, cpus[number], cpus, live))
+        for worker in live * 2:
+            worker.feed(pending)
+        with selectors.DefaultSelector() as selector:
+            for worker in live:
+                selector.register(worker.results, selectors.EVENT_READ, worker)
+            while selector.get_map():
+                for key, _ in selector.select():
+                    worker = key.data
+                    chunk = os.read(worker.results, 1 << 16)
+                    if not chunk:
+                        selector.unregister(worker.results)
+                        worker.close_results()
+                        code = worker.reap()
+                        if code or worker.in_flight or worker.rest:
+                            how = (f"killed by signal {-code}" if code < 0 else
+                                   f"exited with code {code}" if code else
+                                   "exited before returning its results")
+                            raise OSError(
+                                "a batch worker process ended abruptly: "
+                                f"worker {live.index(worker)} {how}")
+                        continue
+                    *records, worker.rest = (worker.rest + chunk).split(b"\n")
+                    for record in records:
+                        index, failed, line = record.split(b" ", 2)
+                        lines[int(index)] = (failed == b"1", line.decode())
+                        worker.in_flight -= 1
+                        worker.feed(pending)
+    finally:
+        for worker in live:
+            worker.close_tasks()
+            worker.close_results()
+            if worker.pid is not None:
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.reap()
+    return lines
 
 
 def _run_batch_lines(workers: int, columns: tuple,
                      cpus: list[int]) -> list[tuple[bool, str]]:
     """:func:`_batch_line` of each item, in manifest order: in forked
-    worker processes on the allowed ``cpus`` if ``workers`` > 1 and fork is
-    available, else in this process."""
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _fork_batch_lines(multiprocessing.get_context("fork"),
-                                     workers, columns, cpus)
+    worker processes on the allowed ``cpus`` if ``workers`` > 1 and the
+    platform has ``os.fork``, else in this process."""
+    if workers > 1 and hasattr(os, "fork"):
+        return _fork_batch_lines(workers, columns, cpus)
     return list(map(_batch_line, *columns))
 
 

@@ -43,10 +43,12 @@ of the table, never a copy of it: each maximal run of consecutive kept, or
 dropped, variables is first merged into one axis (a free reshape), and the
 loop runs over whichever side of the marginal has fewer states. When the
 dropped variables have no more joint states than the kept ones, each block
-of kept states starts at 0.0 and takes one slice per dropped state in
-ascending order; otherwise each kept state's cells are folded one after
-another. Either way every kept state's mass is the same left fold over its
-cells in ascending order.
+of kept states starts as the sum of the first two dropped states' slices
+(a copy of the first when there is only one) and takes one slice per
+further dropped state in ascending order; as no stored mass is -0.0, that
+has the bits of a fold from 0.0. Otherwise each kept state's cells are
+folded one after another. Either way every kept state's mass is the same
+left fold over its cells in ascending order.
 
 A sparse marginal, and the summing of duplicate entries at construction,
 uses ``np.bincount``, which adds each mass into its target state's
@@ -291,13 +293,18 @@ def _marginal_blocks(
     shape, kept_shape, drop_shape, wide, order = _merged_axes(cards, kept)
     view = masses.reshape(shape).transpose(order)
     if wide:
-        # one zeroed block takes one slice per dropped state, ascending
+        # a block starts from its first two slices, not from 0.0: the same
+        # bits, since no stored mass is -0.0
         lead = (slice(None),) * len(drop_shape)
         for index in _blocks(kept_shape):
             part = view[lead + index]
-            blk = np.zeros(part.shape[len(drop_shape):])
-            for d in itertools.product(*map(range, drop_shape)):
-                blk += part[d]
+            slices = map(part.__getitem__,
+                         itertools.product(*map(range, drop_shape)))
+            first = next(slices)
+            second = next(slices, None)
+            blk = first.copy() if second is None else np.add(first, second)
+            for piece in slices:
+                blk += piece
             yield blk
         return
     # narrow: each kept state's cells are folded one after another

@@ -2,8 +2,8 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -487,10 +487,9 @@ def test_batch_errors_are_independent_of_jobs(tmp_path, capsys, monkeypatch):
     runs = []
     for jobs in ("1", "2"):
         runs.append(run_cli(capsys, ["batch", str(manifest), "--jobs", jobs]))
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
     # where fork is not available, the items run in process
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     runs.append(run_cli(capsys, ["batch", str(manifest), "--jobs", "2"]))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == 1
@@ -498,6 +497,15 @@ def test_batch_errors_are_independent_of_jobs(tmp_path, capsys, monkeypatch):
     assert [error and error["type"] for error in errors] == [
         None, "FileNotFoundError", "MalformedInputError",
         "MalformedInputError", None]
+
+
+def no_child_left():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def two_cpus(monkeypatch):
@@ -600,7 +608,129 @@ def test_dead_batch_worker_exits_1_without_traceback(tmp_path, capsys,
     assert (code, out) == (1, "")
     assert err.startswith("hoinfo: error: a batch worker process ended ")
     assert err.count("\n") == 1
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
+
+
+# A run_cli_process prelude that lets a batch start two workers, as
+# two_cpus does.
+TWO_CPUS_PRELUDE = (
+    "import hoinfo.cli\n"
+    "first = hoinfo.cli._allowed_cpus()[0]\n"
+    "hoinfo.cli._allowed_cpus = lambda: [first, first]\n")
+
+
+def test_unflushed_text_before_batch_appears_once(tmp_path):
+    # with buffered streams (an empty PYTHONUNBUFFERED), text not yet
+    # flushed when the workers are forked; a worker flushes its standard
+    # error as it exits
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"gen": PARITY3}, {"gen": PARITY3}]))
+    prelude = (TWO_CPUS_PRELUDE
+               + "import sys\nsys.stdout.write('out')\nsys.stderr.write('err')")
+    run = run_cli_process(["batch", "manifest.json", "--jobs", "2"], tmp_path,
+                          prelude=prelude, env={"PYTHONUNBUFFERED": ""})
+    assert run.returncode == 0
+    assert run.stdout.startswith(b"out{")
+    assert run.stdout.count(b"out") == 1
+    assert run.stderr == b"err"
+
+
+def test_batch_worker_failing_after_its_items_exits_1(tmp_path, capsys,
+                                                       monkeypatch):
+    serve = hoinfo.cli._serve_batch_items
+
+    def serve_then_fail(*args):
+        serve(*args)
+        raise RuntimeError("the worker failed after its items")
+
+    monkeypatch.setattr(hoinfo.cli, "_serve_batch_items", serve_then_fail)
+    two_cpus(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"gen": PARITY3}] * 3))
+    code, out, err = run_cli(capsys, ["batch", str(manifest), "--jobs", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("hoinfo: error: a batch worker process ended ")
+    assert err.count("\n") == 1
+    assert no_child_left()
+
+
+def test_killed_batch_worker_exits_1_without_traceback(tmp_path, capsys,
+                                                       monkeypatch):
+    parent = os.getpid()
+
+    def kill(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("the item ran in the parent process")
+
+    monkeypatch.setattr(hoinfo.cli, "_batch_item_report", kill)
+    two_cpus(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"gen": PARITY3}] * 3))
+    code, out, err = run_cli(capsys, ["batch", str(manifest), "--jobs", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("hoinfo: error: a batch worker process ended ")
+    assert err.count("\n") == 1
+    assert no_child_left()
+
+
+def test_error_in_batch_result_loop_leaves_no_child(tmp_path, capsys,
+                                                    monkeypatch):
+    parent, read = os.getpid(), os.read
+
+    def fail(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("reading a result failed")
+        return read(*args)
+
+    monkeypatch.setattr(os, "read", fail)
+    two_cpus(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"gen": PARITY3}] * 4))
+    with pytest.raises(RuntimeError, match="reading a result failed"):
+        main(["batch", str(manifest), "--jobs", "2"])
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("items", [
+    # results arrive faster than the parent reads them, so one read can
+    # hold several records
+    [{"gen": {"kind": "giant_bit", "order": 2}}] * 200,
+    # an error line longer than a pipe's buffer takes several reads
+    [{"gen": {"kind": "parity", "order": 3}, "note": "x" * 200_000}] * 2,
+], ids=["200_small_items", "error_line_over_64_kib"])
+def test_forked_batch_lines_are_whole_and_in_order(tmp_path, capsys,
+                                                   monkeypatch, items):
+    two_cpus(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(items))
+    runs = [run_cli(capsys, ["batch", str(manifest), "--jobs", jobs])
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert runs[0][1].count("\n") == len(items)
+    assert no_child_left()
+
+
+def test_forked_batch_imports_no_process_pool(tmp_path):
+    # the workers are forked and fed over pipes by the CLI itself
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"gen": PARITY3}, {"gen": PARITY3, "spectrum": True}]))
+    prelude = TWO_CPUS_PRELUDE + (
+        "import atexit, os, sys\n"
+        "forks, fork = [], os.fork\n"
+        "def counted():\n"
+        "    forks.append(1)\n"
+        "    return fork()\n"
+        "os.fork = counted\n"
+        "atexit.register(lambda: print(len(forks), sorted(\n"
+        "    name for name in sys.modules\n"
+        "    if name.split('.')[0] in ('concurrent', 'multiprocessing')),\n"
+        "    file=sys.stderr))")
+    run = run_cli_process(["batch", "manifest.json", "--jobs", "2"], tmp_path,
+                          prelude=prelude)
+    assert run.returncode == 0
+    assert run.stdout.count(b"\n") == 2
+    assert run.stderr == b"2 []\n"
 
 
 def test_base_flag_changes_units(capsys):
