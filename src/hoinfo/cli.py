@@ -32,7 +32,7 @@ from .distribution import (
     EstimatorConfig,
     JointDistribution,
     _count_states,
-    _count_text,
+    _quote,
     estimate_from_samples,  # noqa: F401 - perfbench/traced.py wraps this name
 )
 from .errors import (
@@ -82,9 +82,8 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec | None:
     if args.gen is None:
         return None
     if args.gen not in _CLI_KINDS:
-        raise InvalidOrderError(
-            f"unknown generator kind {args.gen!r}; expected one of {_CLI_KINDS}"
-        )
+        raise InvalidOrderError(f"unknown generator kind {_quote(args.gen)}; "
+                                f"expected one of {_CLI_KINDS}")
     return spec_from_dict(
         {"kind": args.gen, **{key: getattr(args, key) for key in _GEN_FLAGS}}
     )
@@ -136,7 +135,7 @@ def _load_input(
         names, alphabets, digits, counts = parse_samples_csv(text)
         return (_count_states(alphabets, digits, counts, config), descriptor,
                 dict(zip(names, alphabets)))
-    raise InvalidOrderError(f"unknown input format {fmt!r}")
+    raise InvalidOrderError(f"unknown input format {_quote(fmt)}")
 
 
 def _run_report(
@@ -306,7 +305,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sys.stdout.write(
             f"{spec.describe()}: n_vars={dist.n_vars}, "
             f"cardinalities={list(dist.cardinalities)}, "
-            f"support={dist.support_size}/{_count_text(dist.n_states)}\n"
+            f"support={dist.support_size}/{_quote(dist.n_states)}\n"
         )
     return 0
 
@@ -323,13 +322,13 @@ def _batch_item_report(
 ) -> dict:
     if not isinstance(item, Mapping):
         raise MalformedInputError(
-            f"manifest item must be a JSON object, got {item!r}"
-        )
-    wrong = {key: value for key, value in item.items()
+            f"manifest item must be a JSON object, got {_quote(item)}")
+    wrong = {key: type(value).__name__ for key, value in item.items()
              if not isinstance(value, _ITEM_TYPES.get(key, ()))}
     if wrong:
         raise MalformedInputError(
-            f"unknown manifest item keys or values of the wrong type: {wrong}; "
+            "unknown manifest item keys or values of the wrong type: "
+            f"{_quote(wrong)}; "
             f"expected an object for 'gen', strings for 'input' and 'format', "
             f"and booleans for 'normalize' and 'spectrum'"
         )
@@ -556,7 +555,7 @@ def _run_batch_lines(workers: int, columns: tuple,
 def _cmd_batch(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise MalformedInputError(
-            f"--jobs must be an integer >= 1, got {args.jobs}")
+            f"--jobs must be an integer >= 1, got {_quote(args.jobs)}")
     config = _config_from_args(args)
     name = f"manifest {args.manifest}"
     manifest = decode_json(_read_text(args.manifest, name), name)

@@ -152,22 +152,17 @@ class EstimatorConfig:
         if not (_is_number_type(type(self.log_base))
                 and 1.0 < self.log_base < math.inf):
             raise MalformedInputError(
-                "log_base must be finite and > 1, got "
-                f"{_value_text(self.log_base)}"
-            )
+                f"log_base must be finite and > 1, got {_quote(self.log_base)}")
         tolerances = (self.normalization_tolerance, self.zero_tolerance)
         if not all(_is_number_type(type(tol)) and 0.0 <= tol < math.inf
                    for tol in tolerances):
             raise MalformedInputError(
-                "tolerances must be finite and >= 0: "
-                f"({', '.join(map(_value_text, tolerances))})"
-            )
+                f"tolerances must be finite and >= 0: {_quote(tolerances)}")
         if not (_is_int_type(type(self.max_dense_states))
                 and self.max_dense_states >= 1):
             raise MalformedInputError(
-                f"max_dense_states must be an integer >= 1, "
-                f"got {_count_text(self.max_dense_states)}"
-            )
+                "max_dense_states must be an integer >= 1, got "
+                f"{_quote(self.max_dense_states)}")
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -350,25 +345,26 @@ def as_subset(indices: Iterable[int], n_vars: int) -> VariableSubset:
     Raises
     ------
     MalformedInputError
-        If an index is not an integer (a bool is not one).
+        If the indices are not an iterable of integers (a bool is not one).
     EmptySubsetError
         If no indices are given.
     IndexOutOfRangeError
         If any index falls outside [0, n_vars).
     """
-    given = tuple(indices)
-    if not _all_of_type(given, _is_int_type):
+    try:
+        given = tuple(indices)
+    except TypeError:
+        given = None
+    if given is None or not _all_of_type(given, _is_int_type):
         raise MalformedInputError(
-            f"variable indices must be integers: {_ints_text(given)}"
-        )
+            f"variable indices must be integers: {_quote(given or indices)}")
     idx = sorted({int(i) for i in given})
     if not idx:
         raise EmptySubsetError("variable subset must be non-empty")
     if idx[0] < 0 or idx[-1] >= n_vars:
         raise IndexOutOfRangeError(
             f"variable index out of range for a {n_vars}-variable system: "
-            f"{_ints_text(idx)}"
-        )
+            f"{_quote(idx)}")
     return tuple(idx)
 
 
@@ -460,9 +456,8 @@ class JointDistribution:
         """Materialize the full table as a writable array copy."""
         if self.n_states > self.config.max_dense_states:
             raise TableTooLargeError(
-                f"{_count_text(self.n_states)} states exceed "
-                f"max_dense_states={_count_text(self.config.max_dense_states)}"
-            )
+                f"{_quote(self.n_states)} states exceed "
+                f"max_dense_states={_quote(self.config.max_dense_states)}")
         codes, masses = self._support()
         table = np.zeros(self.n_states, dtype=np.float64)
         table[codes] = masses
@@ -487,7 +482,7 @@ class JointDistribution:
             f"JointDistribution(n_vars={self.n_vars}, "
             f"cardinalities={list(self.cardinalities)}, "
             f"representation={self.representation!r}, "
-            f"support={self.support_size}/{_count_text(self.n_states)})"
+            f"support={self.support_size}/{_quote(self.n_states)})"
         )
 
     # -- internals -------------------------------------------------------------
@@ -523,41 +518,50 @@ def _check_support_size(n_support: int, cfg: EstimatorConfig) -> None:
     arrays."""
     if n_support > cfg.max_dense_states:
         raise TableTooLargeError(
-            f"sparse support of {_count_text(n_support)} states exceeds "
-            f"max_dense_states={_count_text(cfg.max_dense_states)}"
-        )
+            f"sparse support of {_quote(n_support)} states exceeds "
+            f"max_dense_states={_quote(cfg.max_dense_states)}")
 
 
-def _count_text(count: int) -> str:
-    """An int in decimal, or from 10**18 up in magnitude rounded to six
-    digits, as in ``~4.99501e+30102``: str() of an int past 4,300 digits
-    raises ValueError, and a longer number says no more. Error messages
-    quote every int a caller gives through this, and a value of another
-    type by its repr."""
-    if not _is_int_type(type(count)):
-        return repr(count)
-    if -10**18 < count < 10**18:
-        return str(count)
-    from decimal import Decimal  # imported only for an int this long
-
-    return f"~{Decimal(int(count)):.5e}"
+# The most characters of a value that error text quotes.
+_QUOTE_CHARS = 100
 
 
-def _ints_text(values: Sequence[int]) -> str:
-    """``str(values)`` of a tuple or list, each element written by
-    :func:`_count_text`."""
-    text = ", ".join(map(_count_text, values))
-    if isinstance(values, list):
-        return f"[{text}]"
-    return f"({text},)" if len(values) == 1 else f"({text})"
+def _quote(value: object, _open: tuple = ()) -> str:
+    """A value a caller gave, as every error message quotes it.
 
+    An int is written in decimal, or from 10**18 up in magnitude rounded to
+    six digits, as in ``~4.99501e+30102``: str() of an int past 4,300 digits
+    raises ValueError, and a longer number says no more. A list or tuple is
+    written as its repr is, each element by these rules, except that one
+    inside itself, or nested ``_QUOTE_CHARS`` deep, is ``[...]`` or
+    ``(...)``; anything else is its repr, or where that holds an int too
+    long for str(), the name of its type. A text longer than
+    ``_QUOTE_CHARS`` is cut there and names its full length, so no value
+    makes an error line of any size. ``_open`` holds the ids of the lists
+    and tuples the value is inside; only the outermost text is cut.
+    """
+    if isinstance(value, (list, tuple)) and (
+            id(value) in _open or len(_open) == _QUOTE_CHARS):
+        text = "[...]" if isinstance(value, list) else "(...)"
+    elif isinstance(value, (list, tuple)):
+        inside = itertools.repeat(_open + (id(value),))
+        text = ", ".join(map(_quote, value, inside))
+        text = f"[{text}]" if isinstance(value, list) else (
+            f"({text},)" if len(value) == 1 else f"({text})")
+    elif not _is_int_type(type(value)):
+        try:
+            text = repr(value)
+        except ValueError:  # an int past 4,300 digits inside it
+            text = f"<{type(value).__name__} holding a huge int>"
+    elif -10**18 < value < 10**18:
+        text = str(value)
+    else:
+        from decimal import Decimal  # imported only for an int this long
 
-def _value_text(value: object) -> str:
-    """A value a caller gave, as an error message quotes it: a list or tuple
-    by :func:`_ints_text`, anything else by :func:`_count_text`."""
-    if isinstance(value, (list, tuple)):
-        return _ints_text(value)
-    return _count_text(value)
+        text = f"~{Decimal(int(value)):.5e}"
+    if _open or len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}... ({len(text)} characters)"
 
 
 def _all_of_type(values: Iterable[object], accept) -> bool:
@@ -573,14 +577,13 @@ def _checked_cardinalities(cardinalities: Sequence[int]) -> State:
         cards = None
     if cards is None or not _all_of_type(cards, _is_int_type):
         raise MalformedInputError(
-            "cardinalities must be a list of integers: "
-            f"{_value_text(cardinalities)}"
-        )
+            f"cardinalities must be a list of integers: {_quote(cardinalities)}")
     if not cards:
         raise EmptyInputError("cardinalities must be non-empty")
     cards = tuple(int(c) for c in cards)
     if any(c < 1 for c in cards):
-        raise StateOutOfRangeError(f"cardinalities must all be >= 1: {cards}")
+        raise StateOutOfRangeError(
+            f"cardinalities must all be >= 1: {_quote(cards)}")
     return cards
 
 
@@ -625,20 +628,17 @@ def _state_fault(raw_state: object, cards: State):
         cells = None
     if cells is None or not _all_of_type(cells, _is_int_type):
         return MalformedInputError(
-            f"state {_value_text(raw_state)} is not a sequence of integers"
-        )
+            f"state {_quote(raw_state)} is not a sequence of integers")
     state = tuple(int(x) for x in cells)
     if len(state) != len(cards):
         return StateOutOfRangeError(
-            f"state {_ints_text(state)} has arity {len(state)}, "
-            f"expected {len(cards)}"
-        )
+            f"state {_quote(state)} has arity {len(state)}, "
+            f"expected {len(cards)}")
     for i, (s, c) in enumerate(zip(state, cards)):
         if not 0 <= s < c:
             return StateOutOfRangeError(
-                f"coordinate {i} of state {_ints_text(state)} outside "
-                f"[0, {_count_text(c)})"
-            )
+                f"coordinate {i} of state {_quote(state)} outside "
+                f"[0, {_quote(c)})")
     return None
 
 
@@ -651,18 +651,18 @@ def _entry_fault(raw_state: object, raw_mass: object, cards: State):
         return fault
     state = tuple(map(int, raw_state))
     if not _is_number_type(type(raw_mass)):
-        return MalformedInputError(
-            f"state {state} has mass {_value_text(raw_mass)}, which is not a "
-            "number"
-        )
+        return MalformedInputError(f"state {_quote(state)} has mass "
+                                   f"{_quote(raw_mass)}, which is not a number")
     try:
         mass = float(raw_mass)
     except OverflowError:
         mass = math.inf
     if mass < 0.0:
-        return NegativeMassError(f"state {state} has negative mass {mass}")
+        return NegativeMassError(
+            f"state {_quote(state)} has negative mass {mass}")
     if not math.isfinite(mass):
-        return NonFiniteMassError(f"state {state} has non-finite mass {mass!r}")
+        return NonFiniteMassError(
+            f"state {_quote(state)} has non-finite mass {mass}")
     return None
 
 
@@ -725,14 +725,12 @@ def build_distribution(
     if renormalize:
         if not 0.0 < total < math.inf:
             raise NotNormalizedError(
-                f"cannot renormalize: total mass is {total!r}"
-            )
+                f"cannot renormalize: total mass is {total}")
         masses /= total
     elif abs(total - 1.0) > cfg.normalization_tolerance:
         raise NotNormalizedError(
-            f"masses sum to {total!r}, outside tolerance "
-            f"{cfg.normalization_tolerance} of 1"
-        )
+            f"masses sum to {total}, outside tolerance "
+            f"{cfg.normalization_tolerance} of 1")
     return _from_support(cards, codes, masses, cfg)
 
 
@@ -908,7 +906,8 @@ def _index_samples(
             f"every sample row must be a sequence of symbols: {exc}"
         ) from None
     if len(arities) > 1:
-        raise RaggedRowsError(f"sample row arities differ: {sorted(arities)}")
+        raise RaggedRowsError(
+            f"sample row arities differ: {_quote(sorted(arities))}")
     if arities == {0}:
         raise EmptyInputError("sample rows have no columns")
     alphabets, digits = zip(*(_index_column(j, cells, symbols)

@@ -3,6 +3,13 @@
 Public functions never raise bare ValueError/KeyError for contract
 violations; every failure mode has a named class so callers (and the CLI
 exit-code mapping) can dispatch on type.
+
+Every message, and every warning the package gives, quotes a value a
+caller gave through one rule, ``distribution._quote``: an int in decimal
+below 10**18 in magnitude and rounded to six digits beyond, a list or
+tuple element by element, anything else by its repr, and the whole cut at
+a fixed length that it names. No message holds a ``!r`` of an outside
+value (``tests/test_error_text.py`` checks this).
 """
 
 from __future__ import annotations

@@ -67,6 +67,7 @@ from .distribution import (
     JointDistribution,
     _digits,
     _index_samples,
+    _quote,
     build_distribution,
 )
 from .errors import EmptyInputError, MalformedInputError
@@ -195,8 +196,7 @@ def parse_samples_csv(
     repeated = sorted(name for name, n in Counter(header).items() if n > 1)
     if repeated:
         raise MalformedInputError(
-            f"samples CSV repeats the column names {repeated}"
-        )
+            f"samples CSV repeats the column names {_quote(repeated)}")
     counts[0] -= 1  # the header's first line; a later repeat is a data row
     if not counts[0]:
         del rows[0], counts[0]

@@ -12,14 +12,16 @@ The two canonical gadgets pin down the extremes of the order-k hierarchy:
 
 All constructors are pure; randomness enters only through explicitly
 passed seeds. Every order, alphabet, n_vars and seed is an integer (numpy
-integers too, bools not) at or above its minimum; anything else raises
-:class:`InvalidOrderError` naming the argument.
+integers too, bools not) at or above its minimum, and every order and n_vars
+at most ``sys.maxsize``, the most cardinalities a tuple can hold. Anything
+else raises :class:`InvalidOrderError` naming the argument.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -31,13 +33,13 @@ from .distribution import (
     EstimatorConfig,
     JointDistribution,
     _check_support_size,
-    _count_text,
     _digits,
     _encode,
     _fold,
     _from_support,
     _is_int_type,
     _is_number_type,
+    _quote,
     # ROADMAP item 7 deletes this binding
     build_distribution,  # noqa: F401 - perfbench/traced.py wraps this name
     product,
@@ -48,6 +50,10 @@ from .errors import (
     MalformedInputError,
     TableTooLargeError,
 )
+
+# The most bits of a parity's support count that error text writes out;
+# writing one takes time quadratic in its bits, and computing it more.
+_WRITTEN_BITS = 2**17
 
 # The spec fields each kind reads, in the order its descriptor names them;
 # every other field keeps its default.
@@ -92,16 +98,14 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise InvalidOrderError(
-                f"unknown generator kind {self.kind!r}; "
-                f"expected one of {GENERATOR_KINDS}"
-            )
+                f"unknown generator kind {_quote(self.kind)}; "
+                f"expected one of {GENERATOR_KINDS}")
         for spec_field in fields(self)[1:]:  # every field after kind
             if (spec_field.name not in _KIND_FIELDS[self.kind]
                     and getattr(self, spec_field.name) != spec_field.default):
                 raise InvalidOrderError(
-                    f"generator kind {self.kind!r} does not take "
-                    f"{spec_field.name!r}"
-                )
+                    f"generator kind {_quote(self.kind)} does not take "
+                    f"{_quote(spec_field.name)}")
 
     def describe(self) -> str:
         """Canonical provenance string, e.g. ``gen:parity(order=3, alphabet=2)``."""
@@ -128,52 +132,66 @@ def spec_from_dict(obj: Mapping) -> GeneratorSpec:
     be any spelling in :data:`GENERATOR_KIND_ALIASES`. ``order``,
     ``alphabet``, ``n_vars`` and ``seed`` must be integers and
     ``concentration`` a number (bools are neither); ``null`` leaves a value
-    at its default. Nothing is coerced: a value of the wrong type, or a
-    spec or component that is not an object, raises
-    :class:`MalformedInputError`.
+    at its default. Nothing is coerced: a value of the wrong type, a
+    ``components`` that is neither a list nor ``null``, or a spec or
+    component that is not an object, raises :class:`MalformedInputError`;
+    a ``kind`` that is not one of those strings, or a ``concentration``
+    that is not above 0 within the float range, raises
+    :class:`InvalidOrderError`.
     """
     if not isinstance(obj, Mapping):
-        raise MalformedInputError(f"generator spec must be an object: {obj!r}")
+        raise MalformedInputError(
+            f"generator spec must be an object: {_quote(obj)}")
     if "kind" not in obj:
         raise InvalidOrderError("generator spec is missing 'kind'")
-    unknown = set(obj) - {"kind", "components", *_SPEC_VALUE_TYPES}
+    unknown = [key for key in obj
+               if key not in ("kind", "components", *_SPEC_VALUE_TYPES)]
     if unknown:
-        raise InvalidOrderError(f"unknown generator spec keys: {sorted(unknown)}")
-    kind = GENERATOR_KIND_ALIASES.get(str(obj["kind"]))
+        raise InvalidOrderError(f"unknown generator spec keys: {_quote(unknown)}")
+    kind = (GENERATOR_KIND_ALIASES.get(obj["kind"])
+            if isinstance(obj["kind"], str) else None)
     if kind is None:
         raise InvalidOrderError(
-            f"unknown generator kind {obj['kind']!r}; expected one of "
-            f"{sorted(GENERATOR_KIND_ALIASES)}"
-        )
+            f"unknown generator kind {_quote(obj['kind'])}; expected one of "
+            f"{sorted(GENERATOR_KIND_ALIASES)}")
     values = {key: obj[key] for key in _SPEC_VALUE_TYPES if obj.get(key) is not None}
     for key, value in values.items():
         if not _SPEC_VALUE_TYPES[key](type(value)):
             raise MalformedInputError(
-                f"generator spec {key!r} must be "
+                f"generator spec {_quote(key)} must be "
                 f"{'a number' if key == 'concentration' else 'an integer'}, "
-                f"got {value!r}"
-            )
+                f"got {_quote(value)}")
     if "concentration" in values:
-        values["concentration"] = float(values["concentration"])
-    components = obj.get("components") or ()
+        values["concentration"] = _check_concentration(values["concentration"])
+    components = () if obj.get("components") is None else obj["components"]
     if not isinstance(components, (list, tuple)):
         raise MalformedInputError(
-            f"generator spec 'components' must be a list: {components!r}"
-        )
+            f"generator spec 'components' must be a list: {_quote(components)}")
     return GeneratorSpec(
         kind=kind, components=tuple(map(spec_from_dict, components)), **values
     )
 
 
-def _check_int(value: object, name: str, minimum: int) -> int:
+def _check_int(
+    value: object, name: str, minimum: int, maximum: float = math.inf
+) -> int:
     """``value`` as a Python int if it has an integer type (a bool has not)
-    and is at least ``minimum``; otherwise :class:`InvalidOrderError`."""
-    if not (_is_int_type(type(value)) and value >= minimum):
-        raise InvalidOrderError(
-            f"{name} must be an integer >= {minimum}, "
-            f"got {_count_text(value)}"
-        )
+    and lies in [``minimum``, ``maximum``]; otherwise
+    :class:`InvalidOrderError`."""
+    if not (_is_int_type(type(value)) and minimum <= value <= maximum):
+        raise InvalidOrderError(f"{name} must be an integer in [{minimum}, "
+                                f"{_quote(maximum)}], got {_quote(value)}")
     return int(value)
+
+
+def _check_concentration(value: object) -> float:
+    """``value`` as a float if it is a number (a bool is not) above 0 that a
+    float can hold, inf included; otherwise :class:`InvalidOrderError`."""
+    if not (_is_number_type(type(value)) and 0.0 < value
+            and (value <= sys.float_info.max or value == math.inf)):
+        raise InvalidOrderError("concentration must be a positive number in "
+                                f"the float range, got {_quote(value)}")
+    return float(value)
 
 
 def giant_bit(
@@ -184,7 +202,7 @@ def giant_bit(
     Uniform over the diagonal states (a, a, ..., a). Knowing any one
     variable determines all others.
     """
-    order = _check_int(order, "giant bit order", 2)
+    order = _check_int(order, "giant bit order", 2, sys.maxsize)
     alphabet = _check_int(alphabet, "giant bit alphabet", 2)
     cfg = config if config is not None else DEFAULT_CONFIG
     _check_support_size(alphabet, cfg)
@@ -203,9 +221,17 @@ def parity(
     variable leaves the remaining k-1 fully independent and uniform, so
     every leave-one-out marginal carries zero total correlation.
     """
-    order = _check_int(order, "parity order", 2)
+    order = _check_int(order, "parity order", 2, sys.maxsize)
     alphabet = _check_int(alphabet, "parity alphabet", 2)
     cfg = config if config is not None else DEFAULT_CONFIG
+    # alphabet ** (order - 1) has more than (order - 1) * (bit_length - 1)
+    # bits; a count past the cap and too long to write quickly is rejected
+    # before the power is taken
+    if (order - 1) * (alphabet.bit_length() - 1) >= max(
+            cfg.max_dense_states.bit_length(), _WRITTEN_BITS):
+        raise TableTooLargeError(
+            f"sparse support of {_quote(alphabet)}**{_quote(order - 1)} states "
+            f"exceeds max_dense_states={_quote(cfg.max_dense_states)}")
     n_inputs = alphabet ** (order - 1)
     _check_support_size(n_inputs, cfg)
     inputs = np.arange(n_inputs)
@@ -223,7 +249,7 @@ def point_mass(
     The additive identity for independent composition; contributes nothing
     to any measure.
     """
-    n_vars = _check_int(n_vars, "point mass n_vars", 1)
+    n_vars = _check_int(n_vars, "point mass n_vars", 1, sys.maxsize)
     alphabet = _check_int(alphabet, "point mass alphabet", 1)
     cfg = config if config is not None else DEFAULT_CONFIG
     cards = (alphabet,) * n_vars
@@ -286,13 +312,14 @@ def random_distribution(
     grows the table approaches uniform. ``alphabet`` is either one shared
     cardinality or a per-variable sequence (tuple, list, range or 1-D
     array). ``seed``, ``n_vars`` and every cardinality are integers (numpy
-    integers too, bools not), the seed >= 0 and the others >= 1;
-    ``concentration`` is a number > 0. Anything else raises
+    integers too, bools not), the seed >= 0 and the others >= 1, with
+    ``n_vars`` at most ``sys.maxsize``; ``concentration`` is a number
+    > 0 that a float can hold, inf included. Anything else raises
     :class:`InvalidOrderError`, as does a concentration so small that the
     weights underflow to a sum that cannot be scaled to 2**B.
     """
     seed = _check_int(seed, "random seed", 0)
-    n_vars = _check_int(n_vars, "random n_vars", 1)
+    n_vars = _check_int(n_vars, "random n_vars", 1, sys.maxsize)
     if isinstance(alphabet, (tuple, list, range)) or np.ndim(alphabet) == 1:
         cards = tuple(_check_int(a, "random cardinality", 1) for a in alphabet)
         if len(cards) != n_vars:
@@ -301,17 +328,14 @@ def random_distribution(
             )
     else:
         cards = (_check_int(alphabet, "random alphabet", 1),) * n_vars
-    if not (_is_number_type(type(concentration)) and concentration > 0.0):
-        raise InvalidOrderError(
-            f"concentration must be a positive number, got {concentration!r}"
-        )
+    # checked, but the caller's value, not its float, sets the weights' bits
+    _check_concentration(concentration)
     cfg = config if config is not None else DEFAULT_CONFIG
     n_states = math.prod(cards)
     if n_states > cfg.max_dense_states:
         raise TableTooLargeError(
-            f"random table of {_count_text(n_states)} states exceeds "
-            f"max_dense_states={_count_text(cfg.max_dense_states)}"
-        )
+            f"random table of {_quote(n_states)} states exceeds "
+            f"max_dense_states={_quote(cfg.max_dense_states)}")
 
     # Built in place in two table-sized buffers. u is drawn, then becomes
     # w, then the scaled weights, which it keeps until the residual's cut
@@ -331,10 +355,9 @@ def random_distribution(
     scale = target / total if total > 0.0 else math.inf
     if math.isinf(scale):
         raise InvalidOrderError(
-            f"concentration {concentration!r} is too small for a random "
-            f"table of {n_states} states: the weights (1 - u) ** "
-            f"(1 / concentration) underflow to a sum of {total!r}"
-        )
+            f"concentration {_quote(concentration)} is too small for a "
+            f"random table of {n_states} states: the weights (1 - u) ** "
+            f"(1 / concentration) underflow to a sum of {total}")
     u *= scale
     q = np.empty(n_states)
     scratch = np.empty(min(n_states, _BLOCK))

@@ -32,9 +32,9 @@ from typing import Callable, Iterable
 from .distribution import (
     EntropyProfile,
     JointDistribution,
-    _count_text,
     _entropy_profile,
     _is_int_type,
+    _quote,
     as_subset,
     entropy,
     leave_one_out,
@@ -134,8 +134,8 @@ def mutual_information(
     b = as_subset(part_b, dist.n_vars)
     if overlap := set(a) & set(b):
         raise OverlappingSubsetsError(
-            f"variable groups must be disjoint, both contain {sorted(overlap)}"
-        )
+            "variable groups must be disjoint, both contain "
+            f"{_quote(sorted(overlap))}")
     h_a = entropy(marginalize(dist, a))
     h_b = entropy(marginalize(dist, b))
     h_ab = entropy(marginalize(dist, a + b))
@@ -235,7 +235,7 @@ def generic_delta_k(
     _require_multivariate(dist)
     tol = dist.config.zero_tolerance
     warnings.warn(
-        f"functional {functional.name!r}: fragility of pure order-k "
+        f"functional {_quote(functional.name)}: fragility of pure order-k "
         "relationships is assumed, not verified; order interpretations "
         "require it",
         UserWarning,
@@ -247,9 +247,9 @@ def generic_delta_k(
         f_i = _checked_value(functional, leave_one_out(dist, i), tol)
         if f_joint < f_i - tol:
             raise FunctionalNonMonotoneError(
-                f"functional {functional.name!r} increased under "
+                f"functional {_quote(functional.name)} increased under "
                 f"marginalization of variable {i}: "
-                f"f(X)={f_joint!r} < f(X^-i)={f_i!r}"
+                f"f(X)={f_joint} < f(X^-i)={f_i}"
             )
         acc += f_i
     return (dist.n_vars - k) * f_joint - acc
@@ -259,7 +259,7 @@ def _check_k(k: object) -> int:
     """``k`` as a Python int; a k that is not of an integer type (a bool is
     not one) raises :class:`MalformedInputError`."""
     if not _is_int_type(type(k)):
-        raise MalformedInputError(f"k must be an integer, got {k!r}")
+        raise MalformedInputError(f"k must be an integer, got {_quote(k)}")
     return int(k)
 
 
@@ -270,7 +270,7 @@ def _float_k(k: object) -> float:
         return float(_check_k(k))
     except OverflowError:
         raise MalformedInputError(
-            f"k={_count_text(k)} is beyond the float range") from None
+            f"k={_quote(k)} is beyond the float range") from None
 
 
 def _checked_value(
@@ -280,6 +280,6 @@ def _checked_value(
     # NaN fails every comparison, so it fails this one too
     if not -tol <= value < float("inf"):
         raise FunctionalNegativeError(
-            f"functional {functional.name!r} returned {value!r}, not a "
+            f"functional {_quote(functional.name)} returned {value}, not a "
             "finite value >= 0")
     return value

@@ -351,14 +351,22 @@ def test_batch_reports_item_failures_inline(tmp_path, capsys):
         {"gen": {"kind": "parity", "order": 3}},
         {"input": str(missing)},
         {"gen": {"kind": "giant_bit", "order": 2}},
+        {"gen": {"kind": "parity", "order": 3}, "note": "x" * 200_000},
     ]))
     code, out, _ = run_cli(capsys, ["batch", str(manifest)])
     assert code == 1
     lines = out.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     error_record = json.loads(lines[1])
     assert error_record["item"] == 1
     assert "error" in error_record
+    # a wrong key is named with its value's type, never with the value
+    assert json.loads(lines[3])["error"] == {
+        "type": "MalformedInputError",
+        "message": "unknown manifest item keys or values of the wrong type: "
+                   "{'note': 'str'}; expected an object for 'gen', strings "
+                   "for 'input' and 'format', and booleans for 'normalize' "
+                   "and 'spectrum'"}
 
 
 def test_batch_output_is_independent_of_jobs(tmp_path, capsys):
@@ -692,23 +700,53 @@ def test_error_in_batch_result_loop_leaves_no_child(tmp_path, capsys,
     assert no_child_left()
 
 
-@pytest.mark.parametrize("items", [
+def small_items(tmp_path):
+    return [{"gen": {"kind": "giant_bit", "order": 2}}] * 200
+
+
+def long_symbol_items(tmp_path):
+    """Two items of one samples CSV whose 100 symbols of 1,000 characters
+    each go into the report's alphabet_mapping."""
+    path = tmp_path / "long_symbols.csv"
+    path.write_text("x,y\n" + "".join(f"{i:03d}{'s' * 997},{i % 2}\n"
+                                       for i in range(100)))
+    return [{"input": str(path)}] * 2
+
+
+@pytest.mark.parametrize("make_items,shortest_line", [
     # results arrive faster than the parent reads them, so one read can
     # hold several records
-    [{"gen": {"kind": "giant_bit", "order": 2}}] * 200,
-    # an error line longer than a pipe's buffer takes several reads
-    [{"gen": {"kind": "parity", "order": 3}, "note": "x" * 200_000}] * 2,
-], ids=["200_small_items", "error_line_over_64_kib"])
+    (small_items, 0),
+    # a report line longer than a pipe's buffer takes several reads
+    (long_symbol_items, 65_537),
+], ids=["200_small_items", "report_line_over_64_kib"])
 def test_forked_batch_lines_are_whole_and_in_order(tmp_path, capsys,
-                                                   monkeypatch, items):
+                                                   monkeypatch, make_items,
+                                                   shortest_line):
     two_cpus(monkeypatch)
+    items = make_items(tmp_path)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(items))
     runs = [run_cli(capsys, ["batch", str(manifest), "--jobs", jobs])
             for jobs in ("1", "2")]
     assert runs[0] == runs[1]
-    assert runs[0][1].count("\n") == len(items)
+    assert runs[0][0] == 0
+    lines = runs[0][1].splitlines()
+    assert len(lines) == len(items)
+    assert min(map(len, lines)) >= shortest_line
     assert no_child_left()
+
+
+def test_batch_names_a_concentration_beyond_the_float_range(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('[{"gen": {"kind": "random", "n_vars": 2, "seed": 1, '
+                        '"concentration": 1' + "0" * 400 + '}}]')
+    code, out, _ = run_cli(capsys, ["batch", str(manifest)])
+    error = json.loads(out)["error"]
+    assert code == 1
+    assert error == {"type": "InvalidOrderError", "message": (
+        "concentration must be a positive number in the float range, "
+        "got ~1.00000e+400")}
 
 
 def test_forked_batch_imports_no_process_pool(tmp_path):

@@ -576,6 +576,14 @@ HUGE_INT_CALLS = {
     "mass_arity": (lambda: D3.mass((HUGE,)), StateOutOfRangeError),
     "build_distribution": (lambda: build_distribution([2], [((HUGE,), 1.0)]),
                            StateOutOfRangeError),
+    "cardinality_negative": (lambda: build_distribution([-HUGE], []),
+                             StateOutOfRangeError),
+    "mass_of_a_huge_state": (
+        lambda: build_distribution([2 * HUGE], [((HUGE,), "x")]),
+        MalformedInputError),
+    "negative_mass_of_a_huge_state": (
+        lambda: build_distribution([2 * HUGE], [((HUGE,), -1.0)]),
+        NegativeMassError),
     "sign_interpretation": (
         lambda: sign_interpretation(compute_spectrum(D3), HUGE),
         IndexOutOfRangeError),
@@ -614,14 +622,27 @@ def test_a_huge_int_raises_its_named_error(name):
 
 
 def test_small_ints_keep_their_messages():
-    assert distribution._ints_text((0, 0, 5)) == str((0, 0, 5))
-    assert distribution._ints_text((5,)) == str((5,))
-    assert distribution._ints_text([0, -7]) == str([0, -7])
-    assert distribution._count_text(-10**17) == str(-10**17)
-    assert distribution._count_text(np.int64(-3)) == "-3"
-    assert distribution._count_text(2.5) == "2.5"
-    assert distribution._value_text([0, 0.5, "a"]) == repr([0, 0.5, "a"])
-    assert distribution._value_text((None, (1,))) == repr((None, (1,)))
+    quote = distribution._quote
+    assert quote((0, 0, 5)) == str((0, 0, 5))
+    assert quote((5,)) == str((5,))
+    assert quote([0, -7]) == str([0, -7])
+    assert quote(-10**17) == str(-10**17)
+    assert quote(np.int64(-3)) == "-3"
+    assert quote(2.5) == "2.5"
+    assert quote([0, 0.5, "a"]) == repr([0, 0.5, "a"])
+    assert quote((None, (1,))) == repr((None, (1,)))
     cyclic = [0, "a"]
     cyclic.append(cyclic)
-    assert distribution._value_text(cyclic) == f"[0, 'a', {cyclic!r}]"
+    assert quote(cyclic) == repr(cyclic) == "[0, 'a', [...]]"
+    inside = ([],)
+    inside[0].append(inside)
+    assert quote(inside) == repr(inside) == "([(...)],)"
+
+
+def test_a_quote_is_cut_and_names_its_length():
+    text = distribution._quote("x" * 200_000)
+    assert text == "'" + "x" * 99 + "... (200002 characters)"
+    assert distribution._quote([[HUGE], "y" * 20]) == (
+        "[[~1.00000e+5000], 'yyyyyyyyyyyyyyyyyyyy']")
+    text = distribution._quote([[0] * 100] * 100)
+    assert text.endswith("... (30200 characters)") and len(text) < 130

@@ -330,9 +330,15 @@ def test_random_rejects_bad_parameters():
     for alphabet in (2.5, True, (2.7, 3), "23", None, (2, True)):
         with pytest.raises(InvalidOrderError):
             random_distribution(2, alphabet, seed=1)
-    for concentration in ("x", None, True, math.nan):
+    for concentration in ("x", None, True, math.nan, 10**400, -10**400):
         with pytest.raises(InvalidOrderError, match="concentration"):
             random_distribution(2, 2, seed=1, concentration=concentration)
+    for spec in ({"kind": "random", "concentration": 10**400},
+                 {"kind": "random", "concentration": -10**400}):
+        with pytest.raises(InvalidOrderError, match="concentration"):
+            spec_from_dict(spec)
+    uniform = random_distribution(2, 2, seed=1, concentration=math.inf)
+    assert uniform.dense_table().tolist() == [[0.25, 0.25], [0.25, 0.25]]
     expected = random_distribution(2, (2, 3), seed=4).dense_table().tobytes()
     for alphabet in ([2, 3], range(2, 4), np.array([2, 3]),
                      (np.int64(2), np.int64(3))):
@@ -515,6 +521,35 @@ def test_huge_state_count_is_too_large_in_a_short_message(make, args, message):
     assert len(text) < 100
 
 
+@pytest.mark.parametrize("make,args", [
+    (giant_bit, ()),
+    (parity, ()),
+    (point_mass, ()),
+    (random_distribution, (2, 0)),
+])
+def test_more_variables_than_a_tuple_holds_are_rejected(make, args):
+    # before any tuple or power of that size is built
+    with pytest.raises(InvalidOrderError,
+                       match=r"in \[\d, ~9\.22337e\+18\], got ~1\.00000e\+400$"):
+        make(10**400, *args)
+
+
+def test_a_small_cap_bounds_states_not_variables():
+    cfg = EstimatorConfig(max_dense_states=2**10)
+    assert giant_bit(2**10 + 1, config=cfg).n_vars == 2**10 + 1
+    assert point_mass(20000, 2, config=cfg).support_size == 1
+    assert random_distribution(2**10 + 1, 1, seed=0, config=cfg).n_vars == 2**10 + 1
+    # a parity whose count is too long to write is rejected unwritten
+    with pytest.raises(TableTooLargeError,
+                       match=r"^sparse support of 2\*\*~1\.00000e\+18 states "
+                             r"exceeds max_dense_states=67108864$"):
+        parity(10**18 + 1)
+    with pytest.raises(TableTooLargeError,
+                       match=r"^sparse support of 3\*\*999999 states "
+                             r"exceeds max_dense_states=1024$"):
+        parity(10**6, 3, config=cfg)
+
+
 def test_huge_point_mass_writes_its_state_count_short():
     d = point_mass(20000, 2)
     assert repr(d).endswith("support=1/~3.98028e+6020)")
@@ -552,6 +587,11 @@ def test_spec_from_dict_accepts_every_kind_spelling():
     {"kind": "random", "n_vars": 2, "seed": 1, "concentration": False},
     {"kind": "independent_product", "components": [5]},
     {"kind": "independent_product", "components": {"kind": "parity"}},
+    # a falsy value is no list either; only null keeps the default
+    {"kind": "independent_product", "components": False},
+    {"kind": "independent_product", "components": 0},
+    {"kind": "independent_product", "components": ""},
+    {"kind": "independent_product", "components": {}},
 ])
 def test_spec_from_dict_rejects_wrong_types(obj):
     with pytest.raises(MalformedInputError):
@@ -560,7 +600,8 @@ def test_spec_from_dict_rejects_wrong_types(obj):
 
 def test_spec_from_dict_keeps_values_exact():
     spec = spec_from_dict({"kind": "random", "n_vars": 3, "seed": 4,
-                           "concentration": 2, "order": None})
+                           "concentration": 2, "order": None,
+                           "components": None})
     assert spec == GeneratorSpec(kind="random_dirichlet_like", n_vars=3,
                                  seed=4, concentration=2.0)
     assert spec.describe() == ("gen:random_dirichlet_like(n_vars=3, "
