@@ -13,6 +13,14 @@ runs in process, and its items read the stream in manifest order.
 Exit codes: 0 on success, 1 on parse/validation failure, 2 when a measure
 is requested on a system with fewer than two variables. Diagnostics go to
 standard error; reports go to standard output.
+
+:func:`run` is the process entry point (the ``hoinfo`` script, ``python -m
+hoinfo`` and ``python -m hoinfo.cli``): it calls :func:`main`, flushes
+standard output and then standard error, and ends the process with
+``os._exit``, so no module teardown, cyclic collection or atexit hook runs
+once the last byte is written. A failed final write of a successful run
+exits 1 with one error line. Code that embeds the CLI calls
+``main(argv)``, which returns the exit code and never ends the process.
 """
 
 from __future__ import annotations
@@ -126,13 +134,16 @@ def _load_input(
     if gen_spec is not None:
         return generate(gen_spec, config), gen_spec.describe(), None
     descriptor = "stdin" if path == "-" else path
-    text = _read_text(None if path == "-" else path, descriptor)
+    # the text is held here only until a reader takes it, so the JSON
+    # reader can drop it once decoded, before it builds the distribution
+    source = [_read_text(None if path == "-" else path, descriptor)]
     if fmt == "auto":
-        fmt = sniff_format(descriptor, text)
+        fmt = sniff_format(descriptor, source[0])
     if fmt == FORMAT_DIST_JSON:
-        return loads_distribution(text, config, renormalize=normalize), descriptor, None
+        return (loads_distribution(source.pop(), config, renormalize=normalize),
+                descriptor, None)
     if fmt == FORMAT_SAMPLES_CSV:
-        names, alphabets, digits, counts = parse_samples_csv(text)
+        names, alphabets, digits, counts = parse_samples_csv(source.pop())
         return (_count_states(alphabets, digits, counts, config), descriptor,
                 dict(zip(names, alphabets)))
     raise InvalidOrderError(f"unknown input format {_quote(fmt)}")
@@ -596,5 +607,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv``, flush standard output and then
+    standard error, and end the process with ``os._exit`` and main's code.
+    A flush that fails after main returned 0 writes one error line and
+    exits 1; a failed run keeps its code, main having reported the failure.
+    A ``SystemExit`` from argument parsing, or an exception that escapes
+    main, ends the process the usual way."""
+    code = main()
+    try:
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:
+            if not code:
+                code = 1
+                print(f"hoinfo: error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -535,7 +535,8 @@ def _quote(value: object, _open: tuple = ()) -> str:
     written as its repr is, each element by these rules, except that one
     inside itself, or nested ``_QUOTE_CHARS`` deep, is ``[...]`` or
     ``(...)``; anything else is its repr, or where that holds an int too
-    long for str(), the name of its type. A text longer than
+    long for str(), or nests too deep for repr, the name of its type and
+    the cause. A text longer than
     ``_QUOTE_CHARS`` is cut there and names its full length, so no value
     makes an error line of any size. ``_open`` holds the ids of the lists
     and tuples the value is inside; only the outermost text is cut.
@@ -553,6 +554,8 @@ def _quote(value: object, _open: tuple = ()) -> str:
             text = repr(value)
         except ValueError:  # an int past 4,300 digits inside it
             text = f"<{type(value).__name__} holding a huge int>"
+        except RecursionError:
+            text = f"<{type(value).__name__} nested too deep>"
     elif -10**18 < value < 10**18:
         text = str(value)
     else:

@@ -7,7 +7,8 @@ exit-code mapping) can dispatch on type.
 Every message, and every warning the package gives, quotes a value a
 caller gave through one rule, ``distribution._quote``: an int in decimal
 below 10**18 in magnitude and rounded to six digits beyond, a list or
-tuple element by element, anything else by its repr, and the whole cut at
+tuple element by element, anything else by its repr (or its type's name
+where repr fails), and the whole cut at
 a fixed length that it names. No message holds a ``!r`` of an outside
 value (``tests/test_error_text.py`` checks this).
 """

@@ -165,9 +165,12 @@ def loads_distribution(
     The decode and the build run with the cyclic garbage collector paused,
     because the document they walk holds no reference cycles; a thread
     that reads JSON at the same moment may see the collector paused, and
-    no result depends on it."""
+    no result depends on it. The text is dropped once decoded, so a caller
+    that hands over its only reference does not hold it through the
+    build."""
     with _collector_paused():
         obj = decode_json(text, "distribution JSON")
+        del text
         return distribution_from_obj(obj, config, renormalize=renormalize)
 
 

@@ -124,6 +124,12 @@ _SPEC_VALUE_TYPES = dict.fromkeys(
 ) | {"concentration": _is_number_type}
 
 
+# The most levels a generator spec may nest, itself the first: each level
+# of ``components`` is a few Python frames deep to read, describe and
+# generate, so the bound keeps every spec well inside the recursion limit.
+_MAX_SPEC_DEPTH = 64
+
+
 def spec_from_dict(obj: Mapping) -> GeneratorSpec:
     """Build a GeneratorSpec from its JSON object form.
 
@@ -137,8 +143,17 @@ def spec_from_dict(obj: Mapping) -> GeneratorSpec:
     component that is not an object, raises :class:`MalformedInputError`;
     a ``kind`` that is not one of those strings, or a ``concentration``
     that is not above 0 within the float range, raises
-    :class:`InvalidOrderError`.
+    :class:`InvalidOrderError`. A spec whose ``components`` nest more than
+    64 levels deep, itself the first, raises :class:`MalformedInputError`.
     """
+    return _spec_from_dict(obj, 1)
+
+
+def _spec_from_dict(obj: Mapping, depth: int) -> GeneratorSpec:
+    """:func:`spec_from_dict` of a spec nested ``depth`` levels deep."""
+    if depth > _MAX_SPEC_DEPTH:
+        raise MalformedInputError(
+            f"generator spec nests more than {_MAX_SPEC_DEPTH} levels deep")
     if not isinstance(obj, Mapping):
         raise MalformedInputError(
             f"generator spec must be an object: {_quote(obj)}")
@@ -168,8 +183,9 @@ def spec_from_dict(obj: Mapping) -> GeneratorSpec:
         raise MalformedInputError(
             f"generator spec 'components' must be a list: {_quote(components)}")
     return GeneratorSpec(
-        kind=kind, components=tuple(map(spec_from_dict, components)), **values
-    )
+        kind=kind,
+        components=tuple(_spec_from_dict(c, depth + 1) for c in components),
+        **values)
 
 
 def _check_int(

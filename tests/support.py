@@ -61,6 +61,14 @@ def count_profile_kernels(monkeypatch) -> list[tuple[str, int]]:
     return calls
 
 
+def nested_product(levels: int, leaf: dict) -> dict:
+    """The generator spec ``leaf`` as the innermost of ``levels`` nested
+    specs, each outer one an independent product of the one inside it."""
+    for _ in range(levels - 1):
+        leaf = {"kind": "independent_product", "components": [leaf]}
+    return leaf
+
+
 def samples_csv_rows(text: str) -> tuple[list[str], list[tuple]]:
     """(names, observation rows) of a samples CSV, each distinct row rebuilt
     from the alphabets and symbol indices that ``parse_samples_csv``

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hoinfo.cli
+import hoinfo.fileio
 import support
 from hoinfo import giant_bit, measure_report, parity
 from hoinfo.cli import main
@@ -797,16 +799,172 @@ def test_conflicting_input_arguments_exit_1(tmp_path, capsys):
     assert "not both" in err
 
 
-def test_console_entry_point_matches_in_process(capsys):
-    code, in_process, _ = run_cli(
-        capsys, ["measures", "--gen", "parity", "--order", "3"])
+# The three ways to start the CLI in a process of its own; each ends in
+# hoinfo.cli.run, which reads the arguments after the launcher.
+LAUNCHERS = {
+    "m-hoinfo": [sys.executable, "-m", "hoinfo"],
+    "m-hoinfo.cli": [sys.executable, "-m", "hoinfo.cli"],
+    "run": [sys.executable, "-c", "from hoinfo.cli import run; run()"],
+}
+
+
+def cli_child(argv, cwd, launcher=LAUNCHERS["m-hoinfo"],
+              stdout=subprocess.PIPE):
+    """Run the CLI with ``argv`` in a child started by the command
+    ``launcher``, its stdout going to ``stdout``. PYTHONUNBUFFERED is
+    removed from the child's environment, as a benchmark or a shell script
+    runs it: a set one would write each report at once and hide a flush
+    left undone."""
+    src = str(Path(hoinfo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([*launcher, *argv], cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_every_entry_point_gives_main_s_codes_and_bytes(tmp_path, capsys,
+                                                        launcher):
+    (tmp_path / "bad.json").write_text('{"cardinalities": [2], "entries": [')
+    (tmp_path / "one.json").write_text(
+        '{"cardinalities": [2], "entries": [{"state": [0], "p": 1.0}]}')
+    for argv, expected in (
+            (["measures", "--gen", "parity", "--order", "3"], 0),
+            (["measures", "--input", str(tmp_path / "bad.json")], 1),
+            (["measures", "--input", str(tmp_path / "one.json")], 2)):
+        code, out, err = run_cli(capsys, argv)
+        child = cli_child(argv, tmp_path, LAUNCHERS[launcher])
+        assert code == child.returncode == expected
+        assert child.stdout == out.encode()
+        assert child.stderr == err.encode()
+
+
+def test_a_large_output_arrives_whole_through_a_pipe(tmp_path, capsys):
+    # about 8 MB: many times what a pipe buffers, so the child's last
+    # writes wait on the reader before its os._exit
+    argv = ["gen", "--kind", "parity", "--order", "16", "--emit"]
+    code, out, _ = run_cli(capsys, argv)
+    child = cli_child(argv, tmp_path)
+    assert code == child.returncode == 0
+    assert len(child.stdout) > 7 * 10**6
+    assert (hashlib.sha256(child.stdout).hexdigest()
+            == hashlib.sha256(out.encode()).hexdigest())
+
+
+def test_the_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"hoinfo": "hoinfo.cli:run"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["measures", "--gen", "parity", "--order", "3"],
+    ["batch", "manifest.json"],
+], ids=["measures", "batch"])
+def test_a_full_disk_at_the_final_flush_exits_1_with_one_line(tmp_path, argv):
+    # the report fits the stdout buffer, so the first write to the disk is
+    # the final flush; the interpreter's own exit reported it as an ignored
+    # exception and exit code 120
+    (tmp_path / "manifest.json").write_text(json.dumps([{"gen": PARITY3}]))
+    with open("/dev/full", "wb") as full:
+        child = cli_child(argv, tmp_path, stdout=full)
+    assert child.returncode == 1
+    assert child.stderr == (
+        b"hoinfo: error: [Errno 28] No space left on device\n")
+
+
+def closed_pipe():
+    """The write end of a pipe whose read end is closed: every write to it
+    fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "--gen", "parity", "--order", "3"],
+    ["gen", "--kind", "parity", "--order", "16", "--emit"],
+    ["batch", "manifest.json"],
+], ids=["at-the-final-flush", "in-main", "in-main-batch"])
+def test_a_closed_pipe_exits_1_with_one_line(tmp_path, argv):
+    # a report that fits the stdout buffer first fails at the final flush;
+    # a larger one fails in main, which reports it, and the final flush that
+    # fails again adds no second line
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"gen": PARITY3}] * 400))
+    write = closed_pipe()
+    try:
+        child = cli_child(argv, tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert child.returncode == 1
+    assert child.stderr == b"hoinfo: error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+def test_a_closed_stdout_keeps_main_s_code_and_line(tmp_path):
+    # Python sets sys.stdout to None when file descriptor 1 is closed; a
+    # run that writes no report still ends with main's code and line
+    child = cli_child(["measures", "--input", "missing.json"], tmp_path,
+                      ["/bin/sh", "-c", 'exec "$@" >&-', "sh",
+                       *LAUNCHERS["m-hoinfo"]])
+    assert child.returncode == 1
+    assert child.stderr == (b"hoinfo: error: [Errno 2] No such file or "
+                            b"directory: 'missing.json'\n")
+
+
+def test_batch_rejects_a_spec_nested_past_the_bound(tmp_path, capsys,
+                                                    monkeypatch):
+    # 450 levels used to give each item a RecursionError line
+    two_cpus(monkeypatch)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        [{"gen": support.nested_product(levels, PARITY3)}
+         for levels in (64, 65, 450, 1)]))
+    runs = [run_cli(capsys, ["batch", str(manifest), "--jobs", jobs])
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (1, "")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert "error" not in lines[0] and "error" not in lines[3]
+    assert lines[0]["measures"] == lines[3]["measures"]
+    for index in (1, 2):
+        assert lines[index] == {"item": index, "error": {
+            "type": "MalformedInputError",
+            "message": "generator spec nests more than 64 levels deep"}}
+
+
+def test_distribution_json_text_is_dropped_before_the_build(
+        tmp_path, capsys, monkeypatch):
+    # the decoded document and the entries are built while the text, as
+    # large as the file, is already freed
+    freed = []
+
+    class Text(str):
+        def __del__(self):
+            freed.append(True)
+
+    build = hoinfo.fileio.distribution_from_obj
+    freed_at_build = []
+
+    def checked_build(*args, **kwargs):
+        freed_at_build.append(bool(freed))
+        return build(*args, **kwargs)
+
+    read = hoinfo.cli._read_text
+    monkeypatch.setattr(hoinfo.cli, "_read_text",
+                        lambda *args: Text(read(*args)))
+    monkeypatch.setattr(hoinfo.fileio, "distribution_from_obj", checked_build)
+    path = tmp_path / "parity.json"
+    path.write_text(hoinfo.fileio.dumps_distribution(parity(4)))
+    code, out, _ = run_cli(capsys, ["measures", "--input", str(path)])
     assert code == 0
-    result = subprocess.run(
-        [sys.executable, "-m", "hoinfo.cli", "measures", "--gen", "parity",
-         "--order", "3"],
-        capture_output=True, text=True, check=True,
-    )
-    assert result.stdout == in_process
+    assert freed_at_build == [True]
+    assert json.loads(out)["n_vars"] == 4
 
 
 def test_measures_rejects_nan_mass_file(tmp_path, capsys):

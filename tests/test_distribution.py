@@ -646,3 +646,11 @@ def test_a_quote_is_cut_and_names_its_length():
         "[[~1.00000e+5000], 'yyyyyyyyyyyyyyyyyyyy']")
     text = distribution._quote([[0] * 100] * 100)
     assert text.endswith("... (30200 characters)") and len(text) < 130
+
+
+def test_a_value_too_deep_for_repr_is_quoted_by_its_type():
+    deep = support.nested_product(2_000, {"kind": "parity", "order": 3})
+    assert distribution._quote(deep) == "<dict nested too deep>"
+    with pytest.raises(MalformedInputError) as raised:
+        build_distribution(deep, [])
+    assert str(raised.value).endswith("<dict nested too deep>")

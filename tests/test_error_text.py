@@ -21,6 +21,7 @@ import pytest
 
 import hoinfo.cli
 import hoinfo.errors
+import support
 from hoinfo import (
     EstimatorConfig,
     HoinfoError,
@@ -106,7 +107,9 @@ def values(rng: random.Random, big: int) -> list:
 
 def spec(rng: random.Random, big: int, depth: int = 0) -> dict:
     """A generator spec with a few keys, known or not, set to malformed
-    values; an independent product's components are specs like it."""
+    values; an independent product's components are specs like it. The
+    spec, or a valid one, may sit inside a chain of up to 450 products of
+    one component, far past the 64 levels a spec may nest."""
     obj = {"kind": rng.choice([*KINDS, LONG, big, None, ["parity"]])}
     for key in rng.sample(SPEC_KEYS, rng.randrange(1, 4)):
         if key == "components" and depth < 2 and rng.random() < 0.5:
@@ -114,6 +117,9 @@ def spec(rng: random.Random, big: int, depth: int = 0) -> dict:
                         for _ in range(rng.randrange(1, 3))]
         else:
             obj[key] = rng.choice(values(rng, big))
+    if depth == 0 and rng.random() < 0.1:
+        leaf = rng.choice([obj, {"kind": "parity", "order": 3}])
+        return support.nested_product(rng.randrange(2, 450), leaf)
     return obj
 
 

@@ -598,6 +598,20 @@ def test_spec_from_dict_rejects_wrong_types(obj):
         spec_from_dict(obj)
 
 
+def test_spec_from_dict_bounds_its_nesting():
+    spec = spec_from_dict(
+        support.nested_product(64, {"kind": "parity", "order": 3}))
+    assert spec.describe().count("independent_product") == 63
+    assert list(generate(spec).items()) == list(parity(3).items())
+    # 450 levels used to end in RecursionError
+    for levels in (65, 450):
+        with pytest.raises(MalformedInputError) as raised:
+            spec_from_dict(
+                support.nested_product(levels, {"kind": "parity", "order": 3}))
+        assert str(raised.value) == (
+            "generator spec nests more than 64 levels deep")
+
+
 def test_spec_from_dict_keeps_values_exact():
     spec = spec_from_dict({"kind": "random", "n_vars": 3, "seed": 4,
                            "concentration": 2, "order": None,
