@@ -19,7 +19,8 @@ hoinfo`` and ``python -m hoinfo.cli``): it calls :func:`main`, flushes
 standard output and then standard error, and ends the process with
 ``os._exit``, so no module teardown, cyclic collection or atexit hook runs
 once the last byte is written. A failed final write of a successful run
-exits 1 with one error line. Code that embeds the CLI calls
+exits 1 with one error line, as does a run whose standard output is
+closed, at its first write. Code that embeds the CLI calls
 ``main(argv)``, which returns the exit code and never ends the process.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import gc
 import itertools
 import json
@@ -199,6 +201,15 @@ def _report_csv_rows(report: Mapping) -> list[tuple[str, object]]:
     return rows
 
 
+def _stdout():
+    """``sys.stdout``, or :class:`OSError` (EBADF) where Python set it to
+    None, as it does when file descriptor 1 is closed at start-up; each
+    command asks for it at its first write."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    return sys.stdout
+
+
 def _emit_report(report: dict, output: str, stream) -> None:
     if output == "json":
         stream.write(json.dumps(report, indent=2))
@@ -301,7 +312,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                      args.normalize, config),
         include_spectrum=args.command == "spectrum",
     )
-    _emit_report(report, args.output, sys.stdout)
+    _emit_report(report, args.output, _stdout())
     return 0
 
 
@@ -309,11 +320,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     spec = _spec_from_args(args)
     dist = generate(spec, config)
+    stdout = _stdout()
     if args.emit:
-        sys.stdout.write(dumps_distribution(dist))
-        sys.stdout.write("\n")
+        stdout.write(dumps_distribution(dist))
+        stdout.write("\n")
     else:
-        sys.stdout.write(
+        stdout.write(
             f"{spec.describe()}: n_vars={dist.n_vars}, "
             f"cardinalities={list(dist.cardinalities)}, "
             f"support={dist.support_size}/{_quote(dist.n_states)}\n"
@@ -510,8 +522,9 @@ def _fork_batch_lines(workers: int, columns: tuple,
     calls = list(zip(*columns))
     lines: list = [None] * len(calls)
     pending = iter(range(len(calls)))
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
     live: list[_Worker] = []
     try:
         for number in range(workers):
@@ -583,10 +596,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # the stream in manifest order, the first reader taking all of it
         workers = 1
     failed = False
-    for item_failed, line in _run_batch_lines(workers, columns, cpus):
+    lines = _run_batch_lines(workers, columns, cpus)
+    stdout = _stdout()
+    for item_failed, line in lines:
         failed |= item_failed
-        sys.stdout.write(line)
-        sys.stdout.write("\n")
+        stdout.write(line)
+        stdout.write("\n")
     return 1 if failed else 0
 
 

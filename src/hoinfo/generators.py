@@ -19,7 +19,6 @@ else raises :class:`InvalidOrderError` naming the argument.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -33,6 +32,7 @@ from .distribution import (
     EstimatorConfig,
     JointDistribution,
     _check_support_size,
+    _code_dtype,
     _digits,
     _encode,
     _fold,
@@ -223,7 +223,9 @@ def giant_bit(
     cfg = config if config is not None else DEFAULT_CONFIG
     _check_support_size(alphabet, cfg)
     cards = (alphabet,) * order
-    codes = _encode([np.arange(alphabet)] * order, cards)
+    # the diagonal state (i, ..., i) has the code i * (1 + a + ... + a**(k-1))
+    codes = (np.arange(alphabet, dtype=_code_dtype(cards))
+             * ((alphabet**order - 1) // (alphabet - 1)))
     return _from_support(cards, codes, np.full(alphabet, 1.0 / alphabet), cfg)
 
 
@@ -269,7 +271,7 @@ def point_mass(
     alphabet = _check_int(alphabet, "point mass alphabet", 1)
     cfg = config if config is not None else DEFAULT_CONFIG
     cards = (alphabet,) * n_vars
-    codes = _encode([np.zeros(1, dtype=np.int64)] * n_vars, cards)
+    codes = np.zeros(1, dtype=_code_dtype(cards))
     return _from_support(cards, codes, np.ones(1), cfg)
 
 
@@ -313,15 +315,14 @@ def random_distribution(
     state from ``numpy.random.default_rng(seed)``, shape it into a weight
     w = (1 - u) ** (1 / concentration), then quantize the normalized
     weights to integer multiples of 2**-B (B in [40, 48], chosen from the
-    state count) with every state kept at >= 1 quantum. The quantization
-    residual is placed deterministically by fractional part, lowest index
-    first among equal fractions. A surplus gives every state one quantum
-    per whole multiple of the state count, then one more to each state
-    with the largest fractions until it is spent. A deficit is taken back
-    in passes that each take one quantum from every state above one
-    quantum: whole passes while they fit, then one quantum from each state
-    above one quantum with the smallest fractions until it is met; no
-    state goes below one quantum. Quantized masses are exact binary
+    state count) with every state kept at >= 1 quantum: each state takes
+    max(floor(x), 1) quanta of its scaled weight x. Where those sum past
+    2**B (a deficit), the scaled weights are first scaled once more, by
+    (2**B - 2n) / 2**B for n states, which always leaves a surplus. The
+    surplus is placed deterministically by fractional part, lowest index
+    first among equal fractions: every state gets one quantum per whole
+    multiple of the state count, then one more to each state with the
+    largest fractions until it is spent. Quantized masses are exact binary
     fractions, so the table sums to exactly 1.0.
 
     Small concentration concentrates mass on few states; as concentration
@@ -354,13 +355,13 @@ def random_distribution(
             f"max_dense_states={_quote(cfg.max_dense_states)}")
 
     # Built in place in two table-sized buffers. u is drawn, then becomes
-    # w, then the scaled weights, which it keeps until the residual's cut
-    # is found, then their fractions. q is first the scratch of the
-    # selection: the fractions, which a surplus partitions, or the values
-    # a deficit gathers into its head. Then q holds the quanta: float64
-    # whole numbers whose partial sums stay below 2**53, so every += and
-    # their sum are exact. The fractions u - floor(u) are exact too, so
-    # they are recomputed where needed; all else is a _BLOCK at a time.
+    # w, then the scaled weights (scaled once more after a deficit), which
+    # it keeps until the residual's cut is found, then their fractions. q
+    # is first the fractions, which the cut partitions, then the quanta:
+    # float64 whole numbers whose partial sums stay below 2**53, so every
+    # += and their sum are exact. The fractions u - floor(u) are exact
+    # too, so they are recomputed where needed; all else is a _BLOCK at a
+    # time.
     u = np.random.default_rng(seed).random(n_states)
     np.subtract(1.0, u, out=u)
     u **= 1.0 / concentration  # w, in [0, 1]
@@ -382,62 +383,38 @@ def random_distribution(
         """``values`` as views of _BLOCK values, the last one shorter."""
         return np.split(values, range(_BLOCK, values.size, _BLOCK))
 
-    def gather(above: float, fractions: bool) -> np.ndarray:
-        """The head of q, filled in index order with floor(u) - u, the
-        negated fraction, if ``fractions``, else floor(u) - 1, of each
-        state whose floor(u) > ``above``."""
-        size = 0
-        for block in runs(u):
-            run = np.floor(block, out=scratch[:block.size])
-            kept = run > above
-            np.subtract(run, block if fractions else 1.0, out=run)
-            count = np.count_nonzero(kept)
-            np.compress(kept, run, out=q[size:size + count])
-            size += count
-        return q[:size]
+    def residual_pass() -> int:
+        """target - sum(max(floor(u), 1)), with the fractions put in q."""
+        residual = target
+        for block, run in zip(runs(u), runs(q)):
+            floors = np.floor(block, out=scratch[:block.size])
+            np.subtract(block, floors, out=run)
+            residual -= int(np.maximum(floors, 1.0, out=floors).sum())
+        return residual
 
-    residual = target
-    for block, run in zip(runs(u), runs(q)):  # q: the fractions
-        floors = np.floor(block, out=scratch[:block.size])
-        np.subtract(block, floors, out=run)
-        residual -= int(np.maximum(floors, 1.0, out=floors).sum())
-    whole, extra = divmod(max(residual, 0), n_states)
+    residual = residual_pass()
     if residual < 0:
-        # the most whole passes, each one quantum from every state above
-        # one quantum, that the deficit covers. The capacities total
-        # target - n_states more than the deficit, so some state always
-        # stays above one quantum.
-        caps = gather(1.0, fractions=False)
-
-        def taken(passes: int) -> int:
-            return int(sum(np.minimum(run, passes, out=scratch[:run.size]).sum()
-                           for run in runs(caps)))
-
-        whole = bisect.bisect_right(range(int(caps.max()) + 1), -residual,
-                                    key=taken) - 1
-        extra = -residual - taken(whole)
-        if extra:
-            # the last pass takes one quantum each from the `extra` states
-            # with the smallest fractions among those still above one
-            # quantum, whose floor(u) > whole + 1
-            cut, ties = _cut(gather(whole + 1.0, fractions=True), extra)
-    elif extra:
+        # A deficit: scale the weights to sum to target - 2 * n_states and
+        # take the residual again. The strict fold and the two scalings
+        # leave sum(u) within about (n_states + 3) * 2**(bits - 53) <=
+        # (n_states + 3) / 32 quanta of that (bits <= 48), and
+        # max(floor(u), 1) <= u + 1, so the quanta sum to at most
+        # target - n_states + (n_states + 3) / 32 < target: the new
+        # residual is above 0.
+        u *= (target - 2 * n_states) / target
+        residual = residual_pass()
+    whole, extra = divmod(residual, n_states)
+    if extra:
         cut, ties = _cut(q, extra)
-    # the quanta are max(floor(u), 1) + whole for a surplus, which is
-    # max(floor(u) + whole, 1 + whole), and max(floor(u) - whole, 1) for a
-    # deficit; then a quantum more, or less, for each state chosen
-    shift = whole if residual > 0 else -whole
-    step = np.add if residual > 0 else np.subtract
-    for block, run in zip(runs(u), runs(q)):  # q was scratch
+    # the quanta are max(floor(u), 1) + whole, which is
+    # max(floor(u) + whole, 1 + whole), then one more for each state chosen
+    for block, run in zip(runs(u), runs(q)):  # q held the fractions
         block -= np.floor(block, out=run)  # the floors, and the fractions
-        run += shift
-        np.maximum(run, 1.0 + max(shift, 0), out=run)
+        run += whole
+        np.maximum(run, 1.0 + whole, out=run)
         if extra:
-            if residual < 0:  # negated as gathered, and none at one quantum
-                np.negative(block, out=block)
-                block[run == 1.0] = -np.inf
             chosen, ties = _take(block, cut, ties)
-            step(run, chosen, out=run)
+            np.add(run, chosen, out=run)
 
     q /= float(target)
     return JointDistribution(cards, q, config=cfg)

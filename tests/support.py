@@ -280,11 +280,10 @@ def gamma_k_via_tc(dist: JointDistribution, k: int) -> float:
     return float(coeff) * total_correlation(dist) + float(k - 1) * _marginal_tc_sum(dist)
 
 
-def random_masses_by_argsort(n_states: int, seed: int,
-                             concentration: float) -> np.ndarray:
-    """Flat masses of ``random_distribution`` by its documented scheme,
-    with the residual quanta placed by a full stable sort of the fractions
-    (largest first, lowest index first among ties)."""
+def random_scaled_weights(n_states: int, seed: int,
+                          concentration: float) -> tuple[np.ndarray, int]:
+    """The weights of ``random_distribution`` by its documented scheme,
+    scaled by 2**B over their left-folded sum, and 2**B."""
     u = np.random.default_rng(seed).random(n_states)
     w = (1.0 - u) ** (1.0 / concentration)
     bits = min(48, max(40, n_states.bit_length() + 14))
@@ -292,22 +291,34 @@ def random_masses_by_argsort(n_states: int, seed: int,
     total = 0.0
     for x in w.tolist():
         total += x
-    scaled = w * (target / total)
+    return w * (target / total), target
+
+
+def quanta_residual(scaled: np.ndarray, target: int) -> int:
+    """target - sum(max(floor(scaled), 1)): the quanta left to place, or
+    minus those placed too many (a deficit)."""
+    return target - int(np.maximum(np.floor(scaled), 1.0).sum())
+
+
+def random_masses_by_argsort(n_states: int, seed: int,
+                             concentration: float) -> np.ndarray:
+    """Flat masses of ``random_distribution`` by its documented scheme,
+    with the residual quanta placed by a full stable sort of the fractions
+    (largest first, lowest index first among ties). A deficit is first
+    rescaled away, which must leave a residual of at least ``n_states``
+    in every table the tests build."""
+    scaled, target = random_scaled_weights(n_states, seed, concentration)
+    residual = quanta_residual(scaled, target)
+    if residual < 0:
+        scaled *= (target - 2 * n_states) / target
+        residual = quanta_residual(scaled, target)
+        assert residual >= n_states, residual
     floors = np.floor(scaled)
     quanta = np.maximum(floors, 1.0).astype(np.int64)
     frac = scaled - floors
-    residual = target - int(quanta.sum())
-    if residual > 0:
-        whole, extra = divmod(residual, n_states)
-        quanta += whole
-        quanta[np.argsort(-frac, kind="stable")[:extra]] += 1
-    elif residual < 0:
-        order = np.argsort(frac, kind="stable")
-        deficit = -residual
-        while deficit > 0:
-            takeable = order[quanta[order] > 1][:deficit]
-            quanta[takeable] -= 1
-            deficit -= takeable.size
+    whole, extra = divmod(residual, n_states)
+    quanta += whole
+    quanta[np.argsort(-frac, kind="stable")[:extra]] += 1
     return quanta / float(target)
 
 

@@ -916,6 +916,25 @@ def test_a_closed_stdout_keeps_main_s_code_and_line(tmp_path):
                             b"directory: 'missing.json'\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+@pytest.mark.parametrize("argv", [
+    ["measures", "--gen", "parity", "--order", "3"],
+    ["gen", "--kind", "parity", "--order", "3"],
+    ["gen", "--kind", "parity", "--order", "3", "--emit"],
+    ["batch", "manifest.json"],
+    ["batch", "manifest.json", "--jobs", "2"],
+], ids=["measures", "gen", "gen-emit", "batch", "batch-jobs-2"])
+def test_a_closed_stdout_fails_at_the_write_with_one_line(tmp_path, argv):
+    # Python sets sys.stdout to None when file descriptor 1 is closed; the
+    # report is computed, and its first write is the error
+    (tmp_path / "manifest.json").write_text(json.dumps([{"gen": PARITY3}] * 2))
+    child = cli_child(argv, tmp_path, ["/bin/sh", "-c", 'exec "$@" >&-', "sh",
+                                       *LAUNCHERS["m-hoinfo"]])
+    assert child.returncode == 1
+    assert child.stderr == (
+        b"hoinfo: error: [Errno 9] Bad file descriptor: '<stdout>'\n")
+
+
 def test_batch_rejects_a_spec_nested_past_the_bound(tmp_path, capsys,
                                                     monkeypatch):
     # 450 levels used to give each item a RecursionError line

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from hoinfo import (
     spec_from_dict,
     total_correlation,
 )
-from hoinfo.distribution import _BLOCK
+from hoinfo.distribution import _BLOCK, _encode
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,22 @@ def test_giant_bit_beyond_int64_state_space():
     assert total_correlation(pair) == pytest.approx(43 * math.log2(3), abs=1e-9)
     assert dual_total_correlation(pair) == pytest.approx(2 * math.log2(3),
                                                          abs=1e-9)
+
+
+@pytest.mark.parametrize("order,alphabet", [
+    (3, 5), (62, 2), (63, 2), (64, 2), (65, 2), (39, 3), (40, 3), (41, 3),
+])
+def test_gadget_codes_are_those_of_their_states(order, alphabet):
+    # 2**63 states and more take Python-int codes: 3**39 < 2**63 < 3**40
+    cards = (alphabet,) * order
+    diagonal = _encode([np.arange(alphabet)] * order, cards)
+    zeros = _encode([np.zeros(1, dtype=np.int64)] * order, cards)
+    for made, codes in ((giant_bit(order, alphabet), diagonal),
+                        (point_mass(order, alphabet), zeros)):
+        got, _ = made._support()
+        assert got.dtype == codes.dtype
+        assert got.tolist() == codes.tolist()
+        assert list(map(type, got.tolist())) == list(map(type, codes.tolist()))
 
 
 def test_giant_bit_rejects_bad_parameters():
@@ -213,14 +230,16 @@ def test_random_masses_strictly_positive_and_exactly_normalized():
 def test_random_residual_placement_matches_stable_sort(concentration, seed):
     # at concentration 1e15 the 4096 fractions take under 62 distinct
     # values, so the lowest-index tie-break decides most residual quanta;
-    # at 0.02 most states round up to one quantum, so the residual is
-    # negative and quanta are taken back from the smallest fractions; at
-    # 0.001 whole passes bring states down to one quantum, and with 37
-    # states at 0.0005 (seed 1) the deficit falls just past the passes
-    # that drain a state; 0.5 and 2.0 give the exponents 2 and 0.5, which
-    # numpy's power computes as a square and a square root; at 0.02 the
-    # 3 states of seeds 0 and 2 leave a residual of exactly 0 with one
-    # state's floor at 0 quanta, which still gets one quantum
+    # at 0.02, 0.001 and 0.0005 most states round up to one quantum, so
+    # the first residual is negative (a deficit) and the weights are
+    # rescaled, leaving a surplus that gives every state one more quantum
+    # and then one to each of the largest fractions; the 3 states of
+    # seed 1 at 0.02 have a deficit of one quantum, and 37 states at
+    # 0.001 (seed 2) a surplus of one past the whole quanta; 0.5 and 2.0
+    # give the exponents 2 and 0.5, which numpy's power computes as a
+    # square and a square root; at 0.02 the 3 states of seeds 0 and 2
+    # leave a residual of exactly 0 with one state's floor at 0 quanta,
+    # which still gets one quantum
     for cards in ((2,) * 12, (3, 5, 7, 11), (37,), (3,)):
         d = random_distribution(len(cards), cards, seed=seed,
                                 concentration=concentration)
@@ -231,12 +250,50 @@ def test_random_residual_placement_matches_stable_sort(concentration, seed):
 
 @pytest.mark.parametrize("concentration", [1e15, 0.02, 0.001])
 def test_random_residual_placement_beyond_one_block(concentration):
-    # 2**17 states, four _BLOCKs: at 1e15 the residual's cut is found among
-    # the whole table's fractions, and at 0.02 among the negated fractions
-    # of 40,996 states above one quantum, each in more than one block
+    # 2**17 states, four _BLOCKs: the residual's cut is found among the
+    # whole table's fractions, at 0.02 and 0.001 those of the weights
+    # rescaled after a deficit of about 65,000 and 126,000 quanta
     d = random_distribution(17, 2, seed=1, concentration=concentration)
     expected = support.random_masses_by_argsort(2**17, 1, concentration)
     assert d.dense_table().reshape(-1).tobytes() == expected.tobytes()
+
+
+# sha256 of the table bytes of random tables without a deficit, taken
+# before a deficit was rescaled; the rescale must not move them
+@pytest.mark.parametrize("cards,seed,concentration,digest", [
+    ((2,) * 17, 1, 1.0,
+     "5905e5302eb5cb04c28bf0c404e4950ae7ab4c49eeb8a6572b1368cf16a3588c"),
+    ((2,) * 17, 1, 1e15,
+     "1a554ff42a3dd48884e7fa09dadb4a4df08df2149ca53682d91cf4b0d9029f5a"),
+    ((3, 5, 7, 11), 0, 2.0,
+     "e450e61a28bb49908b8a3ac318a9335f777fc1b9f11a3c0a73d3e4be3b5a6793"),
+    ((2,) * 12, 2, 1.0,
+     "1eac3752c27fe8f6db90016915dfe157590ee37c5698a35cfa7f2e3f176bd06d"),
+    ((37,), 1, 1e15,
+     "d5dc7dc06fe65bf0abe2802e03d83d1264ecb52dfc6a4ae289a8fc2670990e5f"),
+    ((3,) * 6, 4, 2.0,
+     "8b719f87209f8ad15b0dbe5a7b45947e17eaff67d8fbda59b3c8a75b0fa9d0fe"),
+])
+def test_random_tables_without_a_deficit_keep_their_bits(cards, seed,
+                                                         concentration, digest):
+    scaled, target = support.random_scaled_weights(
+        math.prod(cards), seed, concentration)
+    assert support.quanta_residual(scaled, target) >= 0
+    d = random_distribution(len(cards), cards, seed, concentration)
+    assert hashlib.sha256(d.dense_table().tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n_states,seed,concentration", [
+    (3, 1, 0.02), (37, 2, 0.001), (4096, 0, 0.02), (4096, 1, 0.0005),
+])
+def test_a_deficit_is_rescaled_into_a_surplus(n_states, seed, concentration):
+    scaled, target = support.random_scaled_weights(n_states, seed,
+                                                   concentration)
+    assert support.quanta_residual(scaled, target) < 0
+    table = random_distribution(1, (n_states,), seed,
+                                concentration).dense_table()
+    assert table.sum() == 1.0
+    assert table.min() >= 1.0 / target
 
 
 def _largest_values(case: str, size: int) -> np.ndarray:
@@ -272,9 +329,9 @@ def test_largest_matches_stable_argsort(case, negated):
 @pytest.mark.parametrize("concentration,buffers", [
     (1.0, 2.5),
     (1e15, 2.5),
-    (0.02, 2.5),  # a negative residual: whole passes, then a last one
+    (0.02, 2.5),  # a deficit: the weights are rescaled in place
     (0.05, 2.5),  # the same, with more states above one quantum
-    (0.001, 2.5),  # a negative residual that drains most states
+    (0.001, 2.5),  # a deficit with most states at one quantum
 ])
 def test_random_table_is_built_in_few_table_sized_buffers(concentration,
                                                           buffers):
