@@ -5,10 +5,14 @@ Four subcommands: ``measures`` and ``spectrum`` ingest a distribution
 ``gen`` emits a generated distribution in the distribution JSON format;
 ``batch`` runs a manifest of inputs and writes one report per line, in
 manifest order; with ``--jobs N`` its items run in worker processes that
-this process forks and feeds item indices over pipes, the next index
-going to the worker that returns a result, capped at the item count and
-the CPUs this process may run on. A manifest that names stdin (``"-"``)
-runs in process, and its items read the stream in manifest order.
+this process forks, capped at the item count and the CPUs this process
+may run on. The workers share one task pipe into which this process
+writes every item index, each free worker reading the next; each worker
+returns its lines over its own pipe once the task pipe closes, and a
+worker that died is reported when its pipe is reached, in worker order,
+so the others may first finish the remaining items. A manifest that
+names stdin (``"-"``) runs in process, and its items read the stream in
+manifest order.
 
 Exit codes: 0 on success, 1 on parse/validation failure, 2 when a measure
 is requested on a system with fewer than two variables. Diagnostics go to
@@ -35,7 +39,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterator, Mapping, NoReturn, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 from . import __version__
 from .distribution import (
@@ -399,22 +403,28 @@ def _worker_count(jobs: int, items: int, cpus: int) -> int:
 
 
 def _serve_batch_items(tasks: int, results: int, calls: list) -> None:
-    """Run :func:`_batch_line` on each item whose index arrives, one per
-    line, on the task pipe ``tasks``, and write ``index failed line`` and a
-    newline to the result pipe ``results`` for each, until the task pipe
-    closes. A JSON line holds no raw newline, so a newline ends a record."""
-    with open(tasks, "rb") as indices, open(results, "wb") as out:
-        for index in map(int, indices):
-            failed, line = _batch_line(*calls[index])
-            out.write(b"%d %d %s\n" % (index, failed, line.encode()))
-            out.flush()
+    """Run :func:`_batch_line` on each item whose index, 8 bytes, it reads
+    from the shared task pipe ``tasks``, until that pipe closes; only then
+    write ``index failed line`` and a newline for each to the result pipe
+    ``results``, so a worker never waits on its output while the parent is
+    still writing indices. A JSON line holds no raw newline, so a newline
+    ends a record. A short read of an index raises."""
+    records = []
+    while task := os.read(tasks, 8):
+        if len(task) < 8:
+            raise OSError(f"read {len(task)} of the 8 bytes of an item index")
+        index = int.from_bytes(task, "little")
+        failed, line = _batch_line(*calls[index])
+        records.append(b"%d %d %s\n" % (index, failed, line.encode()))
+    with open(results, "wb") as out:
+        out.writelines(records)
 
 
 def _worker_main(tasks: int, results: int, calls: list, cpu: int,
                  cpus: list[int], inherited: list[int]) -> NoReturn:
     """The body of a forked batch worker: close the parent's pipe ends it
     ``inherited``, read stdin from /dev/null, start on ``cpu`` and then
-    allow all ``cpus``, serve items until its task pipe closes, and exit
+    allow all ``cpus``, serve items until the task pipe closes, and exit
     without returning into the caller's frames."""
     code = 1
     try:
@@ -440,140 +450,75 @@ def _worker_main(tasks: int, results: int, calls: list, cpu: int,
             os._exit(code)
 
 
-class _Worker:
-    """A forked batch worker as the parent sees it: its process id (None
-    once reaped), the write end of its task pipe and the read end of its
-    result pipe (each None once closed), the count of indices sent and not
-    yet answered, and the bytes read after its last complete record."""
-
-    def __init__(self, pid: int, tasks: int, results: int):
-        self.pid, self.tasks, self.results = pid, tasks, results
-        self.in_flight = 0
-        self.rest = b""
-
-    def feed(self, pending: Iterator[int]) -> None:
-        """Send the next index of ``pending``, or close the task pipe when
-        none is left."""
-        index = next(pending, None)
-        if index is None:
-            self.close_tasks()
-            return
-        try:
-            os.write(self.tasks, b"%d\n" % index)
-        except BrokenPipeError:
-            pass  # the worker has exited: its result pipe will say so
-        self.in_flight += 1
-
-    def close_tasks(self) -> None:
-        if self.tasks is not None:
-            os.close(self.tasks)
-            self.tasks = None
-
-    def close_results(self) -> None:
-        if self.results is not None:
-            os.close(self.results)
-            self.results = None
-
-    def reap(self) -> int:
-        """Wait for the worker to end: its exit code, or minus the signal
-        that ended it."""
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
-
-
-def _start_worker(calls: list, cpu: int, cpus: list[int],
-                  live: list[_Worker]) -> _Worker:
-    """Fork a batch worker that starts on ``cpu``, with a task pipe and a
-    result pipe. The child closes the parent's ends of its own pipes and of
-    those of the ``live`` workers."""
-    task_read, task_write = os.pipe()
-    result_read, result_write = os.pipe()
-    inherited = [task_write, result_read]
-    for worker in live:
-        inherited += (worker.tasks, worker.results)
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _worker_main(task_read, result_write, calls, cpu, cpus, inherited)
-    except BaseException:
-        os.close(task_write)
-        os.close(result_read)
-        raise
-    finally:
-        os.close(task_read)
-        os.close(result_write)
-    return _Worker(pid, task_write, result_read)
-
-
 def _fork_batch_lines(workers: int, columns: tuple,
                       cpus: list[int]) -> list[tuple[bool, str]]:
     """:func:`_batch_line` of each item, in manifest order, run in
     ``workers`` processes forked from this one, each started on its own
     CPU of the allowed ``cpus``. The workers inherit the imported modules
-    and the items. The parent keeps at most two indices in flight per
-    worker and sends the next one as each result arrives, so a worker that
-    finishes early takes more items. A worker that exits non-zero, or
-    before returning its results, raises :class:`OSError`; on any exception
-    every live worker is killed and reaped."""
-    import selectors
+    and the items, and share one task pipe: the parent writes each item
+    index into it as 8 bytes in one write, which lands whole, and a free
+    worker reads the next, so a worker that finishes early takes more
+    items. Each worker returns its lines over its own result pipe once the
+    task pipe closes; the parent reads those pipes to the end in worker
+    order, reaping each worker after its pipe. A worker that exits
+    non-zero raises :class:`OSError` when the parent reaches its pipe, as
+    does an item left without a line; on any exception every live worker
+    is killed and reaped."""
     import signal
 
     calls = list(zip(*columns))
     lines: list = [None] * len(calls)
-    pending = iter(range(len(calls)))
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
-    live: list[_Worker] = []
+    # the parent's open pipe ends: the task pipe's read end, until every
+    # worker is forked, and its write end, until the last index is written;
+    # then the read end of each worker's result pipe
+    owned = list(os.pipe())
+    pids: list[int] = []
     try:
-        for number in range(workers):
-            live.append(_start_worker(calls, cpus[number], cpus, live))
-        for worker in live * 2:
-            worker.feed(pending)
-        with selectors.DefaultSelector() as selector:
-            for worker in live:
-                selector.register(worker.results, selectors.EVENT_READ, worker)
-            while selector.get_map():
-                for key, _ in selector.select():
-                    worker = key.data
-                    chunk = os.read(worker.results, 1 << 16)
-                    if not chunk:
-                        selector.unregister(worker.results)
-                        worker.close_results()
-                        code = worker.reap()
-                        if code or worker.in_flight or worker.rest:
-                            how = (f"killed by signal {-code}" if code < 0 else
-                                   f"exited with code {code}" if code else
-                                   "exited before returning its results")
-                            raise OSError(
-                                "a batch worker process ended abruptly: "
-                                f"worker {live.index(worker)} {how}")
-                        continue
-                    *records, worker.rest = (worker.rest + chunk).split(b"\n")
-                    for record in records:
-                        index, failed, line = record.split(b" ", 2)
-                        lines[int(index)] = (failed == b"1", line.decode())
-                        worker.in_flight -= 1
-                        worker.feed(pending)
+        for cpu in cpus[:workers]:
+            result_read, result_write = os.pipe()
+            owned.append(result_read)
+            try:
+                if (pid := os.fork()) == 0:
+                    _worker_main(owned[0], result_write, calls, cpu, cpus,
+                                 owned[1:])
+            finally:
+                os.close(result_write)
+            pids.append(pid)
+        os.close(owned.pop(0))
+        try:
+            for index in range(len(calls)):
+                os.write(owned[0], index.to_bytes(8, "little"))
+        except BrokenPipeError:
+            pass  # every worker has exited: its status will say why
+        os.close(owned.pop(0))
+        for number, results in enumerate(owned):
+            chunks = []
+            while chunk := os.read(results, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                how = (f"killed by signal {-code}" if code < 0 else
+                       f"exited with code {code}")
+                raise OSError("a batch worker process ended abruptly: "
+                              f"worker {number} {how}")
+            for record in b"".join(chunks).split(b"\n")[:-1]:
+                index, failed, line = record.split(b" ", 2)
+                lines[int(index)] = (failed == b"1", line.decode())
     finally:
-        for worker in live:
-            worker.close_tasks()
-            worker.close_results()
-            if worker.pid is not None:
-                os.kill(worker.pid, signal.SIGKILL)
-                worker.reap()
+        for fd in owned:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if None in lines:
+        raise OSError("a batch worker process ended abruptly: item "
+                      f"{lines.index(None)} got no result")
     return lines
-
-
-def _run_batch_lines(workers: int, columns: tuple,
-                     cpus: list[int]) -> list[tuple[bool, str]]:
-    """:func:`_batch_line` of each item, in manifest order: in forked
-    worker processes on the allowed ``cpus`` if ``workers`` > 1 and the
-    platform has ``os.fork``, else in this process."""
-    if workers > 1 and hasattr(os, "fork"):
-        return _fork_batch_lines(workers, columns, cpus)
-    return list(map(_batch_line, *columns))
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -595,8 +540,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # a forked worker's stdin is /dev/null: the items run here and read
         # the stream in manifest order, the first reader taking all of it
         workers = 1
+    if workers > 1 and hasattr(os, "fork"):
+        lines = _fork_batch_lines(workers, columns, cpus)
+    else:
+        lines = list(map(_batch_line, *columns))
     failed = False
-    lines = _run_batch_lines(workers, columns, cpus)
     stdout = _stdout()
     for item_failed, line in lines:
         failed |= item_failed

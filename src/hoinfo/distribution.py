@@ -168,9 +168,20 @@ class EstimatorConfig:
 DEFAULT_CONFIG = EstimatorConfig()
 
 
+def _prod(cards: Sequence[int]) -> int:
+    """The product of ``cards``, a whole cardinality tuple, as a balanced
+    tree of products: ``math.prod``'s running product costs time quadratic
+    in the count of factors once it outgrows a machine word, the tree about
+    the cost of its last multiplication."""
+    if len(cards) <= 64:
+        return math.prod(cards)
+    middle = len(cards) // 2
+    return _prod(cards[:middle]) * _prod(cards[middle:])
+
+
 def _code_dtype(cards: Sequence[int]) -> type:
     """int64 codes below 2**63 states, Python ints (object) from there on."""
-    return np.int64 if math.prod(cards) < 2**63 else object
+    return np.int64 if _prod(cards) < 2**63 else object
 
 
 def _encode(digits: Sequence[np.ndarray], cards: Sequence[int]) -> np.ndarray:
@@ -420,7 +431,7 @@ class JointDistribution:
     @property
     def n_states(self) -> int:
         """Total size of the joint state space (product of cardinalities)."""
-        return math.prod(self.cardinalities)
+        return _prod(self.cardinalities)
 
     @property
     def support_size(self) -> int:
@@ -480,7 +491,7 @@ class JointDistribution:
     def __repr__(self) -> str:
         return (
             f"JointDistribution(n_vars={self.n_vars}, "
-            f"cardinalities={list(self.cardinalities)}, "
+            f"cardinalities=[{', '.join(map(_quote, self.cardinalities))}], "
             f"representation={self.representation!r}, "
             f"support={self.support_size}/{_quote(self.n_states)})"
         )
@@ -502,7 +513,7 @@ def _from_support(
     """Distribution with ``masses`` on the ascending, distinct ``codes``:
     dense when the state space fits ``cfg.max_dense_states``, otherwise
     sparse over the positive masses."""
-    n_states = math.prod(cards)
+    n_states = _prod(cards)
     if n_states <= cfg.max_dense_states:
         table = np.zeros(n_states, dtype=np.float64)
         table[codes] = masses
@@ -787,7 +798,7 @@ def product(
     cards = dist_a.cardinalities + dist_b.cardinalities
 
     both_dense = dist_a._codes is None and dist_b._codes is None
-    if both_dense and math.prod(cards) <= cfg.max_dense_states:
+    if both_dense and _prod(cards) <= cfg.max_dense_states:
         table = np.multiply.outer(dist_a._masses, dist_b._masses)
         return JointDistribution(cards, table.reshape(-1), config=cfg)
 

@@ -13,8 +13,9 @@ The two canonical gadgets pin down the extremes of the order-k hierarchy:
 All constructors are pure; randomness enters only through explicitly
 passed seeds. Every order, alphabet, n_vars and seed is an integer (numpy
 integers too, bools not) at or above its minimum, and every order and n_vars
-at most ``sys.maxsize``, the most cardinalities a tuple can hold. Anything
-else raises :class:`InvalidOrderError` naming the argument.
+at most ``sys.maxsize``. Anything else raises :class:`InvalidOrderError`
+naming the argument; a count of variables whose cardinalities no tuple can
+hold raises :class:`TableTooLargeError` naming the count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .distribution import (
     _from_support,
     _is_int_type,
     _is_number_type,
+    _prod,
     _quote,
     # ROADMAP item 7 deletes this binding
     build_distribution,  # noqa: F401 - perfbench/traced.py wraps this name
@@ -210,6 +212,18 @@ def _check_concentration(value: object) -> float:
     return float(value)
 
 
+def _repeated_cards(alphabet: int, count: int) -> tuple[int, ...]:
+    """The cardinalities of ``count`` variables of ``alphabet`` symbols;
+    :class:`TableTooLargeError` naming the count where no tuple can hold
+    them."""
+    try:
+        return (alphabet,) * count
+    except MemoryError:
+        raise TableTooLargeError(
+            f"{_quote(count)} variables are more than a tuple of "
+            "cardinalities can hold") from None
+
+
 def giant_bit(
     order: int, alphabet: int = 2, config: EstimatorConfig | None = None
 ) -> JointDistribution:
@@ -222,7 +236,7 @@ def giant_bit(
     alphabet = _check_int(alphabet, "giant bit alphabet", 2)
     cfg = config if config is not None else DEFAULT_CONFIG
     _check_support_size(alphabet, cfg)
-    cards = (alphabet,) * order
+    cards = _repeated_cards(alphabet, order)
     # the diagonal state (i, ..., i) has the code i * (1 + a + ... + a**(k-1))
     codes = (np.arange(alphabet, dtype=_code_dtype(cards))
              * ((alphabet**order - 1) // (alphabet - 1)))
@@ -253,10 +267,11 @@ def parity(
     n_inputs = alphabet ** (order - 1)
     _check_support_size(n_inputs, cfg)
     inputs = np.arange(n_inputs)
-    check = sum(_digits(inputs, (alphabet,) * (order - 1))) % alphabet
+    cards = _repeated_cards(alphabet, order)
+    check = sum(_digits(inputs, cards[1:])) % alphabet
     codes = _encode([inputs, check], (n_inputs, alphabet))
     masses = np.full(n_inputs, 1.0 / n_inputs)
-    return _from_support((alphabet,) * order, codes, masses, cfg)
+    return _from_support(cards, codes, masses, cfg)
 
 
 def point_mass(
@@ -270,7 +285,7 @@ def point_mass(
     n_vars = _check_int(n_vars, "point mass n_vars", 1, sys.maxsize)
     alphabet = _check_int(alphabet, "point mass alphabet", 1)
     cfg = config if config is not None else DEFAULT_CONFIG
-    cards = (alphabet,) * n_vars
+    cards = _repeated_cards(alphabet, n_vars)
     codes = np.zeros(1, dtype=_code_dtype(cards))
     return _from_support(cards, codes, np.ones(1), cfg)
 
@@ -344,11 +359,12 @@ def random_distribution(
                 f"got {len(cards)} cardinalities for {n_vars} variables"
             )
     else:
-        cards = (_check_int(alphabet, "random alphabet", 1),) * n_vars
+        cards = _repeated_cards(_check_int(alphabet, "random alphabet", 1),
+                                n_vars)
     # checked, but the caller's value, not its float, sets the weights' bits
     _check_concentration(concentration)
     cfg = config if config is not None else DEFAULT_CONFIG
-    n_states = math.prod(cards)
+    n_states = _prod(cards)
     if n_states > cfg.max_dense_states:
         raise TableTooLargeError(
             f"random table of {_quote(n_states)} states exceeds "

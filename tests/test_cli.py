@@ -169,6 +169,39 @@ def test_gen_summary_of_a_huge_point_mass(capsys):
     assert out.endswith(", support=1/~3.98028e+6020\n")
 
 
+# A variable count no tuple of cardinalities can hold, for each kind.
+MAXSIZE_GENS = {
+    "giant-bit": ("--order", str(sys.maxsize)),
+    "point-mass": ("--n-vars", str(sys.maxsize)),
+    "random": ("--n-vars", str(sys.maxsize), "--seed", "1"),
+}
+TOO_MANY_VARIABLES = ("~9.22337e+18 variables are more than a tuple of "
+                      "cardinalities can hold")
+
+
+@pytest.mark.parametrize("kind", sorted(MAXSIZE_GENS))
+def test_gen_of_more_variables_than_a_tuple_holds_exits_1(capsys, kind):
+    code, out, err = run_cli(capsys, ["gen", "--kind", kind,
+                                      *MAXSIZE_GENS[kind]])
+    assert (code, out) == (1, "")
+    assert err == f"hoinfo: error: {TOO_MANY_VARIABLES}\n"
+
+
+def test_batch_names_more_variables_than_a_tuple_holds(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"gen": {"kind": "giant_bit", "order": sys.maxsize}},
+        {"gen": {"kind": "point_mass", "n_vars": sys.maxsize}},
+        {"gen": {"kind": "random", "n_vars": sys.maxsize, "seed": 1}},
+    ]))
+    code, out, _ = run_cli(capsys, ["batch", str(manifest)])
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"item": index, "error": {"type": "TableTooLargeError",
+                                  "message": TOO_MANY_VARIABLES}}
+        for index in range(3)]
+
+
 def test_gen_invalid_order_exits_1(capsys):
     code, _, err = run_cli(
         capsys, ["gen", "--kind", "parity", "--order", "1", "--emit"])
@@ -706,6 +739,10 @@ def small_items(tmp_path):
     return [{"gen": {"kind": "giant_bit", "order": 2}}] * 200
 
 
+def many_small_items(tmp_path):
+    return [{"gen": {"kind": "giant_bit", "order": 2}}] * 9000
+
+
 def long_symbol_items(tmp_path):
     """Two items of one samples CSV whose 100 symbols of 1,000 characters
     each go into the report's alphabet_mapping."""
@@ -721,7 +758,9 @@ def long_symbol_items(tmp_path):
     (small_items, 0),
     # a report line longer than a pipe's buffer takes several reads
     (long_symbol_items, 65_537),
-], ids=["200_small_items", "report_line_over_64_kib"])
+    # 72,000 bytes of indices fill the shared task pipe's 64 KiB buffer
+    (many_small_items, 0),
+], ids=["200_small_items", "report_line_over_64_kib", "9000_small_items"])
 def test_forked_batch_lines_are_whole_and_in_order(tmp_path, capsys,
                                                    monkeypatch, make_items,
                                                    shortest_line):

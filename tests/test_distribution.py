@@ -621,6 +621,15 @@ def test_a_huge_int_raises_its_named_error(name):
     assert "e+" in text and len(text) < 100
 
 
+def test_repr_writes_a_huge_cardinality_short():
+    assert repr(build_distribution([HUGE], [((0,), 1.0)])) == (
+        "JointDistribution(n_vars=1, cardinalities=[~1.00000e+5000], "
+        "representation='sparse', support=1/~1.00000e+5000)")
+    assert repr(build_distribution([2, 10**17], [((0, 0), 1.0)])) == (
+        "JointDistribution(n_vars=2, cardinalities=[2, 100000000000000000], "
+        "representation='sparse', support=1/200000000000000000)")
+
+
 def test_small_ints_keep_their_messages():
     quote = distribution._quote
     assert quote((0, 0, 5)) == str((0, 0, 5))

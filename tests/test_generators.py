@@ -1,5 +1,8 @@
 import hashlib
 import math
+import random
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,7 +37,7 @@ from hoinfo import (
     spec_from_dict,
     total_correlation,
 )
-from hoinfo.distribution import _BLOCK, _encode
+from hoinfo.distribution import _BLOCK, _encode, _prod
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +592,45 @@ def test_more_variables_than_a_tuple_holds_are_rejected(make, args):
     with pytest.raises(InvalidOrderError,
                        match=r"in \[\d, ~9\.22337e\+18\], got ~1\.00000e\+400$"):
         make(10**400, *args)
+
+
+@pytest.mark.parametrize("make,args", [
+    (giant_bit, (sys.maxsize,)),
+    (point_mass, (sys.maxsize, 2)),
+    (random_distribution, (sys.maxsize, 1, 0)),
+])
+def test_more_cardinalities_than_a_tuple_can_hold_are_too_large(make, args):
+    # CPython rejects a tuple of sys.maxsize items before allocating it
+    with pytest.raises(TableTooLargeError,
+                       match=r"^~9\.22337e\+18 variables are more than a "
+                             r"tuple of cardinalities can hold$"):
+        make(*args)
+
+
+def random_of_a_million_variables():
+    with pytest.raises(TableTooLargeError, match=r"^random table of ~9\.90"):
+        random_distribution(10**6, 2, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: giant_bit(10**6),
+    lambda: point_mass(10**6, 2),
+    random_of_a_million_variables,
+    lambda: product(giant_bit(5 * 10**5), giant_bit(5 * 10**5)),
+], ids=["giant_bit", "point_mass", "random", "product"])
+def test_a_million_variables_build_quickly(make):
+    # a running product of a million cardinalities takes tens of seconds
+    start = time.perf_counter()
+    make()
+    assert time.perf_counter() - start < 10
+
+
+def test_balanced_product_is_the_product():
+    rng = random.Random(0)
+    for size in (0, 1, 64, 65, 1000):
+        cards = tuple(rng.randrange(1, 10**rng.randrange(1, 30))
+                      for _ in range(size))
+        assert _prod(cards) == math.prod(cards)
 
 
 def test_a_small_cap_bounds_states_not_variables():
