@@ -169,10 +169,10 @@ DEFAULT_CONFIG = EstimatorConfig()
 
 
 def _prod(cards: Sequence[int]) -> int:
-    """The product of ``cards``, a whole cardinality tuple, as a balanced
-    tree of products: ``math.prod``'s running product costs time quadratic
-    in the count of factors once it outgrows a machine word, the tree about
-    the cost of its last multiplication."""
+    """The product of ``cards``, cardinalities or a slice of them, as a
+    balanced tree of products: ``math.prod``'s running product costs time
+    quadratic in the count of factors once it outgrows a machine word, the
+    tree about the cost of its last multiplication."""
     if len(cards) <= 64:
         return math.prod(cards)
     middle = len(cards) // 2
@@ -212,7 +212,7 @@ def _kept_codes(
     dtype = _code_dtype([cards[i] for i in kept])
     out = None
     for a, b in _runs(kept):
-        width, stride = math.prod(cards[a:b]), math.prod(cards[b:])
+        width, stride = _prod(cards[a:b]), _prod(cards[b:])
         run = codes // stride if stride > 1 else codes
         if a > 0:
             run = run % width
@@ -273,12 +273,12 @@ def _merged_axes(cards: State, kept: VariableSubset) -> tuple:
     runs over the dropped states (wide); and the axis order that puts the
     looped-over side first."""
     cuts = [0, *itertools.chain(*_runs(kept)), len(cards)]
-    shape = tuple(math.prod(cards[a:b]) for a, b in itertools.pairwise(cuts))
+    shape = tuple(_prod(cards[a:b]) for a, b in itertools.pairwise(cuts))
     # dropped runs on the even axes, kept runs on the odd ones; only the
     # first and the last run can be empty
     kept_shape, drop_shape = shape[1::2], shape[::2]
     kept_axes, drop_axes = range(1, len(shape), 2), range(0, len(shape), 2)
-    wide = math.prod(drop_shape) <= math.prod(kept_shape)
+    wide = _prod(drop_shape) <= _prod(kept_shape)
     order = (*drop_axes, *kept_axes) if wide else (*kept_axes, *drop_axes)
     return shape, kept_shape, drop_shape, wide, order
 

@@ -16,14 +16,16 @@ indent=2)`` writes for that object, with the support entries in ascending
 state order. Probabilities are emitted with full float64 fidelity
 (shortest round-tripping decimal form), so a write/read cycle reproduces
 every mass bit for bit. Each line of an entry depends on one digit or on
-the mass alone, so the writer formats each distinct digit of a variable,
-and each distinct mass, once, and gathers the entries' text from those
-lines; the bytes stay those of ``json.dumps``. Text that is not JSON
-raises :class:`~hoinfo.errors.MalformedInputError`. The decoded document
-is a tree of dicts and lists, which reference counting frees, so a read
-decodes it and builds the distribution with the cyclic garbage collector
-paused; another thread may see the collector paused meanwhile, and no
-result depends on it.
+the mass alone, so the writer cuts the variables into maximal runs of at
+most 256 joint states, formats each distinct code of a run (the lines of
+its digits) and each distinct mass once, and gathers the entries' text
+from those pieces; the bytes stay those of ``json.dumps``. Text that is
+not JSON raises :class:`~hoinfo.errors.MalformedInputError`. The decoded
+document is a tree of dicts and lists, which reference counting frees, so
+a read decodes it and builds the distribution with the cyclic garbage
+collector paused, and drops it before the collector resumes; another
+thread may see the collector paused meanwhile, and no result depends on
+it.
 
 Samples CSV: a header row of distinct variable names, then one row per
 observation. A column whose every cell parses as an integer is read as
@@ -58,7 +60,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from itertools import compress
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from .distribution import (
     JointDistribution,
     _digits,
     _index_samples,
+    _prod,
     _quote,
     build_distribution,
 )
@@ -75,25 +78,56 @@ from .errors import EmptyInputError, MalformedInputError
 FORMAT_DIST_JSON = "dist-json"
 FORMAT_SAMPLES_CSV = "samples-csv"
 
+# the most joint states of a run of variables whose distinct codes the
+# writer formats once: fewer pieces per entry than one per variable, while
+# a run's codes stay few; 1024 and 4096 wrote parity(16) and small random
+# tables more slowly
+_GROUP_STATES = 256
+
 
 def dumps_distribution(dist: JointDistribution) -> str:
     """Distribution JSON of ``dist``: the support in ascending state order,
     laid out byte for byte as ``json.dumps(obj, indent=2)`` lays out
     ``{"cardinalities": [...], "entries": [{"state": [...], "p": ...}]}``.
 
-    Each line of an entry's text is a function of one digit or of its mass,
-    so the body is an (entries x (N + 1)) array of pieces, each column
-    gathered from the distinct values' formatted text."""
-    cards = ",\n".join(f"    {c}" for c in dist.cardinalities)
+    The variables are cut, left to right, into maximal runs of at most
+    ``_GROUP_STATES`` joint states (a wider variable is a run of its own).
+    An entry's text is one piece per run, the lines of its digits there,
+    and one for its mass, so the body is an (entries x (runs + 1)) array of
+    pieces, each column gathered from the text of its distinct values."""
     codes, masses = dist._support()
-    pieces = np.empty((len(codes), dist.n_vars + 1), object)
-    for i, digits in enumerate(_digits(codes, dist.cardinalities)):
-        opening = '\n    {\n      "state": [' if i == 0 else ","
-        pieces[:, i] = _formatted(opening + "\n        %d", digits)
+    groups = _groups(dist.cardinalities)
+    pieces = np.empty((len(codes), len(groups) + 1), object)
+    for g, (group, group_codes) in enumerate(
+            zip(groups, _digits(codes, [_prod(group) for group in groups]))):
+        distinct, inverse = np.unique(group_codes, return_inverse=True)
+        lines = []
+        for i, digits in enumerate(_digits(distinct, group)):
+            opening = '\n    {\n      "state": [' if g == i == 0 else ","
+            lines.append([f"{opening}\n        {d}" for d in digits.tolist()])
+        texts = list(map("".join, zip(*lines)))
+        pieces[:, g] = np.array(texts, object)[inverse]
     pieces[:, -1] = _formatted('\n      ],\n      "p": %r\n    },', masses)
-    body = "".join(pieces.ravel().tolist())[:-1]  # no comma after the last
-    return (f'{{\n  "cardinalities": [\n{cards}\n  ],\n'
-            f'  "entries": [{body}\n  ]\n}}')
+    cards = ",\n".join(f"    {c}" for c in dist.cardinalities)
+    # the head joins the first piece, and the last piece drops its comma
+    # for the tail, so the whole document is one join
+    pieces[0, 0] = (f'{{\n  "cardinalities": [\n{cards}\n  ],\n'
+                    f'  "entries": [{pieces[0, 0]}')
+    pieces[-1, -1] = pieces[-1, -1][:-1] + "\n  ]\n}"
+    return "".join(pieces.ravel().tolist())
+
+
+def _groups(cards: Sequence[int]) -> list[list[int]]:
+    """``cards`` cut, left to right, into maximal runs whose product is at
+    most ``_GROUP_STATES``; a larger cardinality is a run of its own."""
+    groups, size = [], _GROUP_STATES + 1
+    for card in cards:
+        if size * card > _GROUP_STATES:
+            groups.append([])
+            size = 1
+        groups[-1].append(card)
+        size *= card
+    return groups
 
 
 def _formatted(template: str, values: np.ndarray) -> np.ndarray:
@@ -167,11 +201,14 @@ def loads_distribution(
     that reads JSON at the same moment may see the collector paused, and
     no result depends on it. The text is dropped once decoded, so a caller
     that hands over its only reference does not hold it through the
-    build."""
+    build, and the document once built, so the collector's first pass
+    after the read does not walk it."""
     with _collector_paused():
         obj = decode_json(text, "distribution JSON")
         del text
-        return distribution_from_obj(obj, config, renormalize=renormalize)
+        dist = distribution_from_obj(obj, config, renormalize=renormalize)
+        del obj  # freed before the collector resumes, not scanned by it
+    return dist
 
 
 def parse_samples_csv(

@@ -34,8 +34,6 @@ from .distribution import (
     JointDistribution,
     _check_support_size,
     _code_dtype,
-    _digits,
-    _encode,
     _fold,
     _from_support,
     _is_int_type,
@@ -266,10 +264,13 @@ def parity(
             f"exceeds max_dense_states={_quote(cfg.max_dense_states)}")
     n_inputs = alphabet ** (order - 1)
     _check_support_size(n_inputs, cfg)
-    inputs = np.arange(n_inputs)
     cards = _repeated_cards(alphabet, order)
-    check = sum(_digits(inputs, cards[1:])) % alphabet
-    codes = _encode([inputs, check], (n_inputs, alphabet))
+    # the check digit of the inputs in row-major order, one input variable
+    # (the least significant digit) added at a time
+    check = np.zeros(1, np.int64)
+    for _ in range(order - 1):
+        check = np.add.outer(check, np.arange(alphabet)).ravel() % alphabet
+    codes = np.arange(n_inputs) * alphabet + check
     masses = np.full(n_inputs, 1.0 / n_inputs)
     return _from_support(cards, codes, masses, cfg)
 

@@ -890,6 +890,15 @@ def test_a_large_output_arrives_whole_through_a_pipe(tmp_path, capsys):
             == hashlib.sha256(out.encode()).hexdigest())
 
 
+def test_the_emitted_parity_16_document_keeps_its_bytes(capsys):
+    # the benchmark's emit op; the writer's pieces must not move a byte
+    code, out, _ = run_cli(
+        capsys, ["gen", "--kind", "parity", "--order", "16", "--emit"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "e53a2f8cfe580f797f84b3ac709fe0a0f85311364a33ed5fe5b46721d4430861")
+
+
 def test_the_console_script_is_run():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

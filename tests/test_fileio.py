@@ -66,6 +66,12 @@ WRITER_CASES = {
     "subnormal_beside_reprs_of_unequal_length": lambda: build_distribution(
         [6], [(0, 5e-324), (1, 0.5), (2, 0.25), (3, 0.125), (4, 0.0625),
               (5, 0.0625)]),
+    # the writer cuts the variables into runs of at most 256 joint states
+    "one_run_of_256_states": lambda: parity(8),
+    "a_run_boundary": lambda: parity(9),
+    "runs_of_16_by_16_then_2": lambda: random_distribution(3, [16, 16, 2], 4),
+    "a_257_state_variable_is_a_run_of_its_own": lambda: random_distribution(
+        5, [2, 2, 257, 2, 2], 6),
 }
 
 
@@ -84,7 +90,7 @@ pooled_masses = st.sampled_from([5e-324, 1e-300, 0.1, 0.25, 1 / 3, 1.0, 3.0])
 
 
 @settings(max_examples=80, deadline=None)
-@given(cards=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+@given(cards=st.lists(st.integers(1, 300), min_size=1, max_size=4),
        data=st.data())
 def test_writer_matches_json_dumps_when_values_repeat(cards, data):
     states = data.draw(st.lists(
@@ -92,7 +98,8 @@ def test_writer_matches_json_dumps_when_values_repeat(cards, data):
         min_size=1, max_size=40, unique=True))
     weights = data.draw(st.lists(
         pooled_masses, min_size=len(states), max_size=len(states)))
-    sparse = data.draw(st.booleans())
+    # a table of more than 2**16 states is kept sparse, to stay small
+    sparse = data.draw(st.booleans()) or math.prod(cards) > 2**16
     config = EstimatorConfig(max_dense_states=len(states)) if sparse else None
     dist = build_distribution(cards, list(zip(states, weights)), config,
                               renormalize=True)
@@ -395,6 +402,25 @@ def test_reading_distribution_json_leaves_no_reference_cycles():
         texts[2], EstimatorConfig(max_dense_states=4)))
     assert gc.collect() == 0
     assert [d.representation for d in read] == ["dense", "dense", "sparse"]
+
+
+def test_reading_frees_the_document_before_the_collector_resumes():
+    text = dumps_distribution(parity(12))
+    gc.collect()
+    young = []
+
+    def record(phase, info):
+        if phase == "start":
+            young.append(len(gc.get_objects(generation=0)))
+
+    gc.callbacks.append(record)
+    try:
+        loads_distribution(text)
+        [[] for _ in range(10**4)]  # enough allocations to start a collection
+    finally:
+        gc.callbacks.remove(record)
+    # with the decoded tree still alive, its 4,000-odd entries are young
+    assert young and young[0] < 100
 
 
 READ_OUTCOMES = {

@@ -37,7 +37,7 @@ from hoinfo import (
     spec_from_dict,
     total_correlation,
 )
-from hoinfo.distribution import _BLOCK, _encode, _prod
+from hoinfo.distribution import _BLOCK, _digits, _encode, _prod
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,19 @@ def test_parity_three_measures():
     assert dual_total_correlation(d) == 2.0
     assert s_information(d) == 3.0
     assert o_information(d) == -1.0
+
+
+@pytest.mark.parametrize("order, alphabet",
+                         [(2, 2), (3, 2), (9, 3), (5, 7), (12, 2)])
+def test_parity_codes_match_the_digit_sum(order, alphabet):
+    # the check digit as the sum of the input digits, mod the alphabet
+    n_inputs = alphabet ** (order - 1)
+    inputs = np.arange(n_inputs)
+    check = sum(_digits(inputs, (alphabet,) * (order - 1))) % alphabet
+    reference = _encode([inputs, check], (n_inputs, alphabet))
+    codes, _ = parity(order, alphabet)._support()
+    assert codes.dtype == reference.dtype == np.int64
+    assert np.array_equal(codes, reference)
 
 
 def test_parity_rejects_bad_parameters():
@@ -623,6 +636,16 @@ def test_a_million_variables_build_quickly(make):
     start = time.perf_counter()
     make()
     assert time.perf_counter() - start < 10
+
+
+def test_a_marginal_of_a_long_system_is_quick():
+    # a running product over the variables after the kept one is quadratic
+    # in their count: seconds at this length
+    dist = giant_bit(4 * 10**5)
+    start = time.perf_counter()
+    marginal = marginalize(dist, (0,))
+    assert time.perf_counter() - start < 2
+    assert list(marginal.items()) == [((0,), 0.5), ((1,), 0.5)]
 
 
 def test_balanced_product_is_the_product():
